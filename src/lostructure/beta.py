@@ -30,7 +30,7 @@ from .distributions import (
     sample_H_lambda,
 )
 from .errors import FLAG_DEGENERATE_BETA, UnsupportedRank
-from .gap import Cgap, SymmetricPolytope, box_body, cgap_image, interval_body, zero_cgap
+from .gap import Cgap, SymmetricPolytope, box_body, cgap_image, interval_body, near, zero_cgap
 from .rational import format_fraction, to_fraction
 
 EXACT = "exact"
@@ -65,12 +65,8 @@ def _scalar_atoms(W) -> list[tuple[Fraction, Fraction]]:
 def mass_outside(W, Kimg: Iterable[Fraction], tau) -> Fraction:
     """W-mass strictly farther than tau from the finite set Kimg."""
     t = to_fraction(tau)
-    pts = sorted(Kimg)
-    total = Fraction(0)
-    for w, mass in _scalar_atoms(W):
-        if not pts or min(abs(w - y) for y in pts) > t:
-            total += mass
-    return total
+    pts = tuple(sorted(Kimg))
+    return sum((mass for w, mass in _scalar_atoms(W) if not near(pts, w, t)), Fraction(0))
 
 
 def _interval_dim(M: int) -> Fraction:
@@ -221,8 +217,7 @@ def weighted_sum_bound_rhs(
         raise ValueError("p_val must be nonnegative")
     if p_val == 0 or beta_val == 0:
         return math.inf
-    pb = p_val * beta_val
-    core = c ** (r + 1) * (1.0 / (m * math.sqrt(pb)) + (r + 1) ** (2.5 * r) / pb ** ((r + 1) / 2))
+    core = cp_bound_rhs(p_val, beta_val, r, m, c)
     if t == 0:
         return core
     if kappa is None or delta is None:

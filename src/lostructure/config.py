@@ -37,7 +37,7 @@ CONSTANT_NAMES = (
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Constants:
     c_cp: float = 1.0
     c_sum: float = 1.0
@@ -69,9 +69,6 @@ class RunConfig:
             "mc_samples": self.mc_samples,
             "seed": self.seed,
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def config_from_dict(d: dict) -> RunConfig:

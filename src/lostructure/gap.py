@@ -9,12 +9,14 @@ here are certified by explicit finite enumeration before being returned.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .distributions import WeightVector
 from .errors import (
@@ -384,38 +386,41 @@ class ProductCgap:
 # ---------------------------------------------------------------------------
 
 
-def _dist_to_set(Kimg, x) -> Fraction | None:
-    best = None
-    for y in Kimg:
-        d = abs(x - y) if isinstance(y, Fraction) else max_norm(tuple(a - b for a, b in zip(x, y)))
-        if best is None or d < best:
-            best = d
-    return best
+def near(pts: Sequence, x, delta: Fraction) -> bool:
+    """Closed max-norm test: is x within delta of the sorted point tuple pts?
+
+    Scalar points: the first point >= x - delta decides.  Tuple points:
+    bisect on the first coordinate, then compare in full only the run whose
+    first coordinate lies within delta of x's.
+    """
+    if not isinstance(x, tuple):
+        i = bisect.bisect_left(pts, x - delta)
+        return i < len(pts) and pts[i] <= x + delta
+    i = bisect.bisect_left(pts, (x[0] - delta,))
+    while i < len(pts) and pts[i][0] <= x[0] + delta:
+        if max_norm(tuple(a - b for a, b in zip(x, pts[i]))) <= delta:
+            return True
+        i += 1
+    return False
 
 
 def neighborhood_contains(Kimg, delta, x) -> bool:
     """Closed max-norm test: is x within delta of the finite set Kimg?"""
-    d = to_fraction(delta)
-    if not Kimg:
-        return False
+    pts = tuple(sorted(Kimg))
     xv = x if isinstance(x, Fraction) else to_vec(x)
-    if isinstance(next(iter(Kimg)), Fraction) and not isinstance(xv, Fraction):
+    if pts and isinstance(pts[0], Fraction) and not isinstance(xv, Fraction):
         if len(xv) != 1:
             raise ValueError("dimension mismatch between set and point")
         xv = xv[0]
-    return _dist_to_set(Kimg, xv) <= d
+    return near(pts, xv, to_fraction(delta))
 
 
 def coverage_count(Kimg, delta, a: WeightVector) -> int:
-    """#{k : a_k within max-norm delta of Kimg}."""
+    """#{k : a_k within max-norm delta of Kimg}, one query per distinct a_k."""
     d = to_fraction(delta)
-    scalar_set = Kimg and isinstance(next(iter(Kimg)), Fraction)
-    cnt = 0
-    for e in a.entries:
-        x = e[0] if (scalar_set and a.dim == 1) else e
-        if Kimg and _dist_to_set(Kimg, x) <= d:
-            cnt += 1
-    return cnt
+    pts = tuple(sorted(Kimg))
+    scalar = a.dim == 1 and bool(pts) and isinstance(pts[0], Fraction)
+    return sum(mult for e, mult in Counter(a.entries).items() if near(pts, e[0] if scalar else e, d))
 
 
 # ---------------------------------------------------------------------------

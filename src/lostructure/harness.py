@@ -37,7 +37,7 @@ from .distributions import (
     weights_1d,
 )
 from .errors import InvalidWindow
-from .gap import Gap, dilate, image, is_proper, size, vol
+from .gap import Gap, dilate, image, is_proper, near, size, vol
 from .rational import format_fraction, to_fraction
 from .recovery import (
     LogRankReport,
@@ -81,17 +81,11 @@ class Instance:
         P = self.planted["gap"]
         outliers = set(self.planted.get("outliers", ()))
         delta0 = to_fraction(self.planted.get("delta0", 0))
-        img = image(P)
+        pts = tuple(sorted(image(P)))
+        dim1 = self.weight.dim == 1
+        covered = {e: near(pts, e[0] if dim1 else e, delta0) for e in set(self.weight.entries)}
         for k, e in enumerate(self.weight.entries):
-            if k in outliers:
-                continue
-            if self.weight.dim == 1:
-                ok = any(abs(e[0] - y) <= delta0 for y in img)
-            else:
-                ok = any(
-                    max(abs(xi - yi) for xi, yi in zip(e, y)) <= delta0 for y in img
-                )
-            if not ok:
+            if k not in outliers and not covered[e]:
                 raise ValueError(f"planted structure misses non-outlier entry {k}")
 
     def to_json_dict(self) -> dict:
@@ -384,23 +378,30 @@ def min_admissible_n_prime(params: RecoveryParams) -> int:
 
 
 def window_params_for_outliers(inst: Instance, cfg: RunConfig) -> RecoveryParams:
-    """Certified window parameters for the pad+signal+outliers family.
+    """Certified window parameters for the pad+signal+outliers family: the
+    one-coordinate case of product_coordinate_params."""
+    return product_coordinate_params(inst, 0, cfg)
+
+
+def product_coordinate_params(inst: Instance, j: int, cfg: RunConfig) -> RecoveryParams:
+    """Certified window parameters for coordinate j of the pad+signal+outliers
+    shape (every coordinate projection of the product_d family has it).
 
     tau = kappa = 8g and delta = g/2; q is the exact probability that the
     signal block stays within two steps of center while the outlier block
     sits on its largest atom, and the pad block contributes at most a
     quarter window with certainty.  n' is the smallest admissible value.
     """
-    g = inst.planted["gap"].generators[0][0]
+    g = inst.planted["gap"].generators[j][j]
     out_idx = set(inst.planted["outliers"])
     n_sig = sum(
-        1 for k, e in enumerate(inst.weight.entries) if k not in out_idx and abs(e[0]) == g
+        1 for k, e in enumerate(inst.weight.entries) if k not in out_idx and abs(e[j]) == g
     )
     pad_total = sum(
         (
-            abs(e[0])
+            abs(e[j])
             for k, e in enumerate(inst.weight.entries)
-            if k not in out_idx and abs(e[0]) != g
+            if k not in out_idx and abs(e[j]) != g
         ),
         Fraction(0),
     )
@@ -669,23 +670,6 @@ def _suite_recovery(cfg: RunConfig) -> SuiteReport:
             rows.append(_row("recovery", inst.id, flags=["ERROR"]))
         results.append((inst.id, reason))
     return _finish("recovery", results, cal, rows)
-
-
-def product_coordinate_params(inst: Instance, j: int, cfg: RunConfig) -> RecoveryParams:
-    """Certified per-coordinate window parameters for the product_d family
-    (each coordinate projection has exactly the pad+signal+outliers shape)."""
-    g = inst.planted["gap"].generators[j][j]
-    out_idx = set(inst.planted["outliers"])
-    n_sig = sum(
-        1 for k, e in enumerate(inst.weight.entries) if k not in out_idx and abs(e[j]) == g
-    )
-    tau = 8 * g
-    q = binomial_center_mass(n_sig, 2)
-    if out_idx:
-        q *= central_atom_mass(len(out_idx))
-    p_val = tail_mass(symmetrize(inst.law), Fraction(1))
-    base = RecoveryParams(q, tau, tau, g / 2, 1, 1, inst.weight.n, p_val, cfg.constants)
-    return dataclasses.replace(base, n_prime=min_admissible_n_prime(base))
 
 
 def _suite_product_recovery(cfg: RunConfig) -> SuiteReport:

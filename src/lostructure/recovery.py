@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -52,6 +53,7 @@ from .gap import (
     is_proper,
     lattice_points,
     mahler_sandwich,
+    near,
     vol,
     zero_cgap,
     zero_gap,
@@ -391,13 +393,6 @@ def recover(
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_weight(a: WeightVector, j: int) -> Optional[WeightVector]:
-    vals = [e[j] for e in a.entries]
-    if all(v == 0 for v in vals):
-        return None
-    return WeightVector(1, tuple((v,) for v in vals))
-
-
 @dataclasses.dataclass(frozen=True)
 class ProductRecoveryReport:
     reports: tuple  # per-coordinate RecoveryReport or None for a zero coordinate
@@ -459,8 +454,7 @@ def recover_multid(
     flags: set[str] = set()
     deltas: list[Fraction] = []
     for j in range(d):
-        aj = _coordinate_weight(a, j)
-        if aj is None:
+        if a.coordinate_is_zero(j):
             reports.append(None)
             factors_star.append(zero_cgap())
             factors_ss.append(zero_cgap())
@@ -472,7 +466,7 @@ def recover_multid(
         pj = per_coordinate_params[j]
         if pj is None:
             raise ValueError(f"coordinate {j} carries weight but has no params")
-        rep = recover(aj, F.marginal(j) if F.dim > 1 else F, pj, cfg)
+        rep = recover(a.coordinate(j), F.marginal(j) if F.dim > 1 else F, pj, cfg)
         reports.append(rep)
         factors_star.append(rep.K_star)
         factors_ss.append(rep.K_star_star)
@@ -496,18 +490,11 @@ def recover_multid(
     per_images_star = [cgap_image(k, cfg.enum_cap) for k in factors_star]
     per_images_ss = [cgap_image(k, cfg.enum_cap) for k in factors_ss]
 
+    entries = Counter(a.entries)
+
     def joint_count(per_images) -> int:
-        cnt = 0
-        for e in a.entries:
-            ok = True
-            for j in range(d):
-                img = per_images[j]
-                if not img or min(abs(e[j] - y) for y in img) > deltas[j]:
-                    ok = False
-                    break
-            if ok:
-                cnt += 1
-        return cnt
+        pts = [tuple(sorted(img)) for img in per_images]
+        return sum(mult for e, mult in entries.items() if all(near(pts[j], e[j], deltas[j]) for j in range(d)))
 
     joint = {"K_star": joint_count(per_images_star), "K_star_star": joint_count(per_images_ss)}
     sizes = {
@@ -560,6 +547,33 @@ def _fallback_gap(a: Optional[WeightVector], j: int, n: int, n_prime: int) -> tu
     return P, len(tailed)
 
 
+def _coordinate_schedules(
+    q_list: Sequence,
+    floor_q: float,
+    base: Optional[RecoveryParams],
+    r: int,
+    n_prime: int,
+    n: int,
+    a: Optional[WeightVector],
+) -> list[CoordinateSchedule]:
+    """Per-coordinate loop of both schedules: the concentration floor, then
+    base's window with q filled in, or the fallback progression when the
+    window cannot hold (base is None)."""
+    out = []
+    for j, qj in enumerate(q_list):
+        qj = coerce_real(qj)
+        if float(qj) < floor_q:
+            raise ValueError(f"q[{j}] violates the schedule's concentration floor")
+        if base is not None:
+            params = dataclasses.replace(base, q=qj)
+            out.append(CoordinateSchedule(j, r, n_prime, params, select_m(params), None, None))
+        else:
+            n_fb = min(n_prime, n)
+            P, covers = _fallback_gap(a, j, n, n_fb)
+            out.append(CoordinateSchedule(j, r, n_fb, None, None, P, covers, (FLAG_NO_INFORMATION,)))
+    return out
+
+
 def schedule_zero_tau(
     A: float,
     theta: float,
@@ -593,19 +607,8 @@ def schedule_zero_tau(
     target = eps2 * b_n**theta
     n_prime = max(1, math.ceil(target))
     window_ok = middle <= target and n_prime <= n
-    out = []
-    for j, qj in enumerate(q_list):
-        qj = coerce_real(qj)
-        if float(qj) < floor_q:
-            raise ValueError(f"q[{j}] violates the schedule's concentration floor")
-        if window_ok:
-            params = RecoveryParams(qj, Fraction(0), Fraction(1), Fraction(0), r, n_prime, n, p, cfg.constants)
-            out.append(CoordinateSchedule(j, r, n_prime, params, select_m(params), None, None))
-        else:
-            n_fb = min(n_prime, n)
-            P, covers = _fallback_gap(a, j, n, n_fb)
-            out.append(CoordinateSchedule(j, r, n_fb, None, None, P, covers, (FLAG_NO_INFORMATION,)))
-    return out
+    base = RecoveryParams(None, 0, 1, 0, r, n_prime, n, p, cfg.constants) if window_ok else None
+    return _coordinate_schedules(q_list, floor_q, base, r, n_prime, n, a)
 
 
 def schedule_scaled_tau(
@@ -653,20 +656,8 @@ def schedule_scaled_tau(
     window_ok = middle <= target and n_prime <= n
     kappa = to_fraction(kappa_n) if kappa_n is not None else Fraction(1)
     tau = to_fraction(tau_n) if tau_n is not None else kappa
-    delta = rho * kappa
-    out = []
-    for j, qj in enumerate(q_list):
-        qj = coerce_real(qj)
-        if float(qj) < e1 * b_n ** (-A):
-            raise ValueError(f"q[{j}] violates the schedule's concentration floor")
-        if window_ok:
-            params = RecoveryParams(qj, tau, kappa, delta, r, n_prime, n, p, cfg.constants)
-            out.append(CoordinateSchedule(j, r, n_prime, params, select_m(params), None, None))
-        else:
-            n_fb = min(n_prime, n)
-            P, covers = _fallback_gap(a, j, n, n_fb)
-            out.append(CoordinateSchedule(j, r, n_fb, None, None, P, covers, (FLAG_NO_INFORMATION,)))
-    return out
+    base = RecoveryParams(None, tau, kappa, rho * kappa, r, n_prime, n, p, cfg.constants) if window_ok else None
+    return _coordinate_schedules(q_list, e1 * b_n ** (-A), base, r, n_prime, n, a)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +737,8 @@ def log_rank_construct(
     gens: list[Fraction] = []
 
     def uncovered() -> list[Fraction]:
-        return [w for w in weights if min(abs(w - y) for y in img) > d]
+        pts = tuple(sorted(img))
+        return [w for w in weights if not near(pts, w, d)]
 
     rank_budget = min(rank_budget, int(math.log(cfg.enum_cap, 3)))
     residual = uncovered()
@@ -754,7 +746,8 @@ def log_rank_construct(
         best = None
         for g in _greedy_candidates(residual, img, d):
             grown = img | {y + g for y in img} | {y - g for y in img}
-            score = sum(1 for w in residual if min(abs(w - y) for y in grown) <= d)
+            pts = tuple(sorted(grown))
+            score = sum(1 for w in residual if near(pts, w, d))
             key = (-score, g)
             if best is None or key < best[0]:
                 best = (key, g, grown)
@@ -805,12 +798,11 @@ def log_rank_construct_multid(
     parts: list[Gap] = []
     reports: list[LogRankReport] = []
     for j in range(a.dim):
-        aj = _coordinate_weight(a, j)
-        if aj is None:
+        if a.coordinate_is_zero(j):
             parts.append(zero_gap(1))
             continue
         Fj = F.marginal(j) if F.dim > 1 else F
-        Pj, rep = log_rank_construct(aj, Fj, taus[j], kappas[j], deltas[j], cfg)
+        Pj, rep = log_rank_construct(a.coordinate(j), Fj, taus[j], kappas[j], deltas[j], cfg)
         parts.append(Pj)
         reports.append(rep)
     return _product_gap(parts, a.dim), reports

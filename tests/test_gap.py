@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lostructure.errors import EnumerationCapExceeded, UnsupportedRank
@@ -33,6 +33,7 @@ from lostructure.gap import (
     is_t_proper,
     lattice_points,
     mahler_sandwich,
+    near,
     neighborhood_contains,
     size,
     vol,
@@ -238,6 +239,19 @@ class TestCgap:
         assert (Fraction(1), Fraction(-10)) in img
 
 
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_deltas = st.fractions(min_value=0, max_value=2, max_denominator=3)
+_scalar_case = st.tuples(st.frozensets(_small, max_size=8), _small)
+_pair_case = st.tuples(st.frozensets(st.tuples(_small, _small), max_size=8), st.tuples(_small, _small))
+
+
+def _brute_dist(pts, x):
+    """Min max-norm distance from x to pts by full scan; None when empty."""
+    if isinstance(x, tuple):
+        return min((max(abs(a - b) for a, b in zip(x, y)) for y in pts), default=None)
+    return min((abs(x - y) for y in pts), default=None)
+
+
 class TestCoverage:
     def test_neighborhood_contains(self):
         img = {Fraction(0), Fraction(3)}
@@ -256,6 +270,35 @@ class TestCoverage:
 
         a = WeightVector(2, ((1, 1), (5, 0)))
         assert coverage_count({(Fraction(1), Fraction(1))}, 0, a) == 1
+
+    @given(st.one_of(_scalar_case, _pair_case), _deltas)
+    @example((frozenset(), Fraction(0)), Fraction(1))
+    @example((frozenset({Fraction(0), Fraction(3)}), Fraction(4)), Fraction(1))
+    @example((frozenset({(Fraction(0), Fraction(3))}), (Fraction(1), Fraction(2))), Fraction(1))
+    @example(
+        (frozenset({(Fraction(0), Fraction(5)), (Fraction(1, 2), Fraction(0))}), (Fraction(0), Fraction(0))),
+        Fraction(1),
+    )
+    @example((frozenset({Fraction(1, 3)}), Fraction(1, 3)), Fraction(0))
+    @example((frozenset({(Fraction(1), Fraction(2))}), (Fraction(1), Fraction(3))), Fraction(0))
+    def test_near_matches_brute_force(self, case, delta):
+        """Pinned examples: the empty set, a point at exactly delta (the test
+        is closed), a hit past the first point of the bisected run, and
+        delta = 0."""
+        pts, x = case
+        dist = _brute_dist(pts, x)
+        want = dist is not None and dist <= delta
+        assert near(tuple(sorted(pts)), x, delta) == want
+        assert neighborhood_contains(pts, delta, x) == want
+
+    @given(st.lists(st.tuples(_small, st.integers(1, 400)), min_size=1, max_size=6), _deltas)
+    def test_coverage_count_with_multiplicities(self, blocks, delta):
+        entries = [v for v, mult in blocks for _ in range(mult)]
+        assume(any(entries))
+        a = weights_1d(entries)
+        img = {Fraction(0), Fraction(3, 2), Fraction(-2)}
+        want = sum(1 for w in entries if _brute_dist(img, w) <= delta)
+        assert coverage_count(img, delta, a) == want
 
 
 class TestMahlerSandwich:

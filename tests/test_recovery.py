@@ -80,6 +80,13 @@ class TestParamsValidation:
         filled = base.with_observations(HALF, HALF)
         assert filled.q == HALF and filled.p_val == HALF
 
+    def test_equal_params_hash_equal(self):
+        a = RecoveryParams(None, 0, 1, 0, 0, 1, 1)
+        b = RecoveryParams(None, Fraction(0), Fraction(1), Fraction(0), 0, 1, 1)
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.constants.c_window = 2.0
+
 
 class TestMakeParams:
     def test_zero_window(self):
