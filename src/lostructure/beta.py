@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -97,7 +98,9 @@ def _covered_mass(atoms, h: Fraction, M: int, tau: Fraction) -> tuple[Fraction, 
 def _rank1_candidates(atoms, tau: Fraction, M: int) -> list[Fraction]:
     # coverage of w by nu*h is |w - nu*h| <= tau: an interval in h whose
     # endpoints are (w +- tau)/nu; the objective is constant in between,
-    # so scanning endpoints (plus h=0) is exhaustive
+    # so the endpoints plus h=0 are exhaustive.  The exact hits w/nu add
+    # nothing to the optimum but stay in the list, whose length is reported
+    # as candidates_searched and whose order breaks ties in _rank1_scan.
     cand = {Fraction(0)}
     for w, _ in atoms:
         for nu in range(1, M + 1):
@@ -108,14 +111,41 @@ def _rank1_candidates(atoms, tau: Fraction, M: int) -> list[Fraction]:
 
 
 def _rank1_scan(atoms, tau: Fraction, M: int):
-    """Best (miss, h, missed-atoms, searched) over the exhaustive candidates."""
-    best = None
+    """Best (miss, h, missed-atoms, searched) over the exhaustive candidates.
+
+    An atom with |w| <= tau is covered at every h.  Any other atom is
+    covered at h exactly when h lies in one of the closed intervals
+    [(|w| - tau)/c, (|w| + tau)/c], c = 1..M.  One sweep over the sorted
+    candidates keeps a count of active intervals per atom and the missed
+    mass as an integer over a common denominator; the first candidate with
+    the least miss wins, and _covered_mass lists the misses there.
+    """
     cands = _rank1_candidates(atoms, tau, M)
+    den = math.lcm(*(mass.denominator for _, mass in atoms))
+    far = [(abs(w), int(mass * den)) for w, mass in atoms if abs(w) > tau]
+    starts = sorted(((aw - tau) / c, i) for i, (aw, _) in enumerate(far) for c in range(1, M + 1))
+    ends = sorted(((aw + tau) / c, i) for i, (aw, _) in enumerate(far) for c in range(1, M + 1))
+    active = [0] * len(far)
+    miss = sum(mass for _, mass in far)
+    best_miss, best_h = None, None
+    si = ei = 0
     for h in cands:
-        miss, missed = _covered_mass(atoms, h, M, tau)
-        if best is None or miss < best[0]:
-            best = (miss, h, missed)
-    return best[0], best[1], best[2], len(cands)
+        while si < len(starts) and starts[si][0] <= h:
+            i = starts[si][1]
+            if not active[i]:
+                miss -= far[i][1]
+            active[i] += 1
+            si += 1
+        while ei < len(ends) and ends[ei][0] < h:
+            i = ends[ei][1]
+            active[i] -= 1
+            if not active[i]:
+                miss += far[i][1]
+            ei += 1
+        if best_miss is None or miss < best_miss:
+            best_miss, best_h = miss, h
+    miss, missed = _covered_mass(atoms, best_h, M, tau)
+    return miss, best_h, missed, len(cands)
 
 
 def beta(W, tau, r: int, m: int, mode: str = "auto") -> BetaResult:
@@ -295,11 +325,19 @@ def check_cp_bound(cp: CompoundPoissonSpec, tau, r: int, m: int, config: Optiona
 BOUND_LEDGER_HEADER = "instance-id,n,r,m,tau,lhs,rhs,slack,constants"
 
 
+def append_csv(path, header: str, lines: Sequence[str]) -> None:
+    """Append CSV lines to path, writing the header first when the file is
+    new or empty."""
+    new = not os.path.exists(path) or os.path.getsize(path) == 0
+    with open(path, "a", encoding="utf-8") as fh:
+        if new:
+            fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def append_bound_ledger(path, instance_id: str, report: BoundReport) -> None:
     """Append one report row, writing the header on first touch."""
-    import os
-
-    new = not os.path.exists(path) or os.path.getsize(path) == 0
     consts = ";".join(f"{k}={v}" for k, v in sorted(report.constants_used.items()))
     p = report.params
     row = ",".join(
@@ -315,10 +353,7 @@ def append_bound_ledger(path, instance_id: str, report: BoundReport) -> None:
             consts,
         ]
     )
-    with open(path, "a", encoding="utf-8") as fh:
-        if new:
-            fh.write(BOUND_LEDGER_HEADER + "\n")
-        fh.write(row + "\n")
+    append_csv(path, BOUND_LEDGER_HEADER, [row])
 
 
 def char_increment_slack(char_fn, ts, hs) -> float:

@@ -14,8 +14,11 @@ on the exactness of equality and ordering here.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
+from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable
 
 import numpy as np
@@ -24,6 +27,7 @@ from .errors import AtomCapExceeded
 from .rational import Vec, dot, format_fraction, max_norm, to_fraction, to_vec
 
 DEFAULT_ATOM_CAP = 10**6
+IntVec = tuple[int, ...]  # a value on an integer grid
 
 
 def _canonical_atoms(pairs: Iterable, dim: int) -> tuple[tuple[Vec, Fraction], ...]:
@@ -274,27 +278,63 @@ def tail_mass(G: DiscreteDistribution, delta) -> Fraction:
     return sum((m for v, m in G.atoms if max_norm(v) > d), Fraction(0))
 
 
+def _convolve(A: dict[IntVec, int], B: dict[IntVec, int], atom_cap: int) -> dict[IntVec, int]:
+    """Product of two integer laws; the cap is checked after each row, so an
+    oversized product raises once it passes the cap, not after it is built."""
+    out: dict[IntVec, int] = {}
+    rows = list(B.items())
+    for ka, ma in A.items():
+        for kb, mb in rows:
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + ma * mb
+        if len(out) > atom_cap:
+            raise AtomCapExceeded(f"support grew to {len(out)} atoms (cap {atom_cap})")
+    return out
+
+
+def _convolution_power(law: dict[IntVec, int], k: int, atom_cap: int) -> dict[IntVec, int]:
+    """law^(*k), k >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = law if result is None else _convolve(result, law, atom_cap)
+        k >>= 1
+        if not k:
+            return result
+        law = _convolve(law, law, atom_cap)
+
+
 def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteDistribution:
     """Exact law of sum_k X_k a_k, with X_k i.i.d. scalar with law F.
 
-    Iterated convolution; atoms merge at exactly equal values, and the
-    merged support is capped to keep blow-up loud instead of slow.
+    Integer kernel: every product x * c of an atom x of F and a coordinate
+    c of an entry is an integer multiple of 1/G, G the lcm of their
+    denominators, and every mass of F is an integer over D, the lcm of its
+    mass denominators.  Equal entries form one group whose law is a
+    convolution power by repeated squaring; the groups are then convolved
+    in order of first occurrence.  Fractions appear only in the returned
+    law, whose atoms are those of the iterated convolution exactly.
+
+    The merged support is capped to keep blow-up loud instead of slow.  It
+    is checked while each product grows; every partial law is the law of a
+    sub-sum, whose support never exceeds the full sum's, so this raises
+    exactly when the full support exceeds the cap.
     """
     if F.dim != 1:
         raise ValueError("summand law must be one-dimensional")
     scalars = F.scalar_atoms()
-    acc: dict[Vec, Fraction] = {(Fraction(0),) * a.dim: Fraction(1)}
-    for e in a.entries:
-        nxt: dict[Vec, Fraction] = {}
-        for v, m in acc.items():
-            for x, mx in scalars:
-                key = tuple(c + x * ec for c, ec in zip(v, e))
-                prev = nxt.get(key)
-                nxt[key] = m * mx if prev is None else prev + m * mx
-        if len(nxt) > atom_cap:
-            raise AtomCapExceeded(f"support grew to {len(nxt)} atoms (cap {atom_cap})")
-        acc = nxt
-    return DiscreteDistribution(a.dim, tuple(acc.items()))
+    groups = Counter(e for e in a.entries if any(e))
+    G = math.lcm(*((x * c).denominator for e in groups for c in e for x, _ in scalars))
+    D = math.lcm(*(m.denominator for _, m in scalars))
+    acc = {(0,) * a.dim: 1}
+    for e, mult in groups.items():
+        # e != 0, so distinct atoms of F give distinct values x * e
+        law = {tuple(int(x * c * G) for c in e): int(m * D) for x, m in scalars}
+        acc = _convolve(acc, _convolution_power(law, mult, atom_cap), atom_cap)
+    total = D ** sum(groups.values())
+    return DiscreteDistribution(
+        a.dim, tuple((tuple(Fraction(k, G) for k in key), Fraction(m, total)) for key, m in sorted(acc.items()))
+    )
 
 
 def levy_measure_star(a: WeightVector) -> AtomicMeasure:

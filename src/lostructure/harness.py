@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .beta import BoundReport, beta, check_cp_bound
+from .beta import BoundReport, _covered_mass, append_csv, beta, check_cp_bound
 from .concentration import conc_interval, esseen_upper, reduction_pair, regularity_factor
 from .config import CONSTANT_NAMES, Constants, RunConfig
 from .distributions import (
@@ -36,7 +36,7 @@ from .distributions import (
     tail_mass,
     weights_1d,
 )
-from .errors import InvalidWindow
+from .errors import InvalidWindow, LostructureError
 from .gap import Gap, dilate, image, is_proper, near, size, vol
 from .rational import format_fraction, to_fraction
 from .recovery import (
@@ -316,8 +316,6 @@ def report_csv(reports: Sequence, path: str) -> str:
     header is written once when the file is new.  No timestamps anywhere,
     so identical inputs yield identical rows.
     """
-    import os
-
     rows = []
     for item in reports:
         if isinstance(item, tuple) and len(item) == 3 and isinstance(item[0], str):
@@ -326,12 +324,7 @@ def report_csv(reports: Sequence, path: str) -> str:
             rows.extend(_rows_of(item))
     cols = CSV_HEADER.split(",")
     ordered = sorted(rows, key=lambda r: (str(r.get("suite", "")), str(r.get("id", ""))))
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(CSV_HEADER + "\n")
-        for r in ordered:
-            fh.write(",".join(_fmt(r.get(c, "")) for c in cols) + "\n")
+    append_csv(path, CSV_HEADER, [",".join(_fmt(r.get(c, "")) for c in cols) for r in ordered])
     return path
 
 
@@ -522,19 +515,6 @@ def _probe_miss_mass(vals, masses, tau: float, M: int, hs) -> np.ndarray:
     return np.where(best > tau + 1e-9, masses[None, :], 0.0).sum(axis=1)
 
 
-def _exact_probe_objective(atoms, h: Fraction, M: int, tau: Fraction) -> Fraction:
-    miss = Fraction(0)
-    for w, mass in atoms:
-        if h == 0:
-            ok = abs(w) <= tau
-        else:
-            nu = round(w / h)
-            ok = any(abs(w - max(-M, min(M, nu + k)) * h) <= tau for k in (-1, 0, 1))
-        if not ok:
-            miss += mass
-    return miss
-
-
 def _suite_beta_oracle(cfg: RunConfig) -> SuiteReport:
     from .distributions import AtomicMeasure
 
@@ -558,7 +538,7 @@ def _suite_beta_oracle(cfg: RunConfig) -> SuiteReport:
         probe = _probe_miss_mass(vals, masses, float(tau), M, hs)
         reason = None
         for j in np.nonzero(probe < float(res.value) - 1e-9)[0]:
-            if _exact_probe_objective(atoms, Fraction(float(hs[j])), M, tau) < res.value:
+            if _covered_mass(atoms, Fraction(float(hs[j])), M, tau)[0] < res.value:
                 reason = f"probe h={float(hs[j])} beats the candidate optimum"
                 break
         results.append((f"beta-{i}", reason))
@@ -665,7 +645,7 @@ def _suite_recovery(cfg: RunConfig) -> SuiteReport:
             ):
                 cal[name] = max(cal[name], rep.sizes[key] / rep.m)
             rows.extend(_rows_of(rep, "recovery", inst.id))
-        except Exception as exc:  # noqa: BLE001 - suites record, never crash
+        except LostructureError as exc:  # suites record the package's own errors
             reason = f"{type(exc).__name__}: {exc}"
             rows.append(_row("recovery", inst.id, flags=["ERROR"]))
         results.append((inst.id, reason))
@@ -709,7 +689,7 @@ def _suite_product_recovery(cfg: RunConfig) -> SuiteReport:
                     flags=list(rep.flags) if reason is None else list(rep.flags) + ["FAIL"],
                 )
             )
-        except Exception as exc:  # noqa: BLE001
+        except LostructureError as exc:
             reason = f"{type(exc).__name__}: {exc}"
             rows.append(_row("product_recovery", inst.id, flags=["ERROR"]))
         results.append((inst.id, reason))
@@ -735,7 +715,7 @@ def _suite_log_rank(cfg: RunConfig) -> SuiteReport:
             if rep.p_val > 0:
                 worst_c = max(worst_c, rep.n_prime * float(rep.p_val) / core**3)
             rows.extend(_rows_of(rep, "log_rank", inst.id))
-        except Exception as exc:  # noqa: BLE001
+        except LostructureError as exc:
             reason = f"{type(exc).__name__}: {exc}"
             rows.append(_row("log_rank", inst.id, flags=["ERROR"]))
         results.append((inst.id, reason))

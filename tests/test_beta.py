@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lostructure.beta import (
     EXACT,
     UPPER_BOUND,
     BOUND_LEDGER_HEADER,
+    _covered_mass,
+    _rank1_candidates,
+    _rank1_scan,
     append_bound_ledger,
     beta,
     check_cp_bound,
@@ -160,6 +163,53 @@ class TestBetaProperties:
             h = Fraction(num, 7)
             probe = {k * h for k in range(-M, M + 1)}
             assert mass_outside(W, probe, tau) >= res.value
+
+
+def brute_force_rank1_scan(atoms, tau, M):
+    """Oracle: the direct form of _rank1_scan, _covered_mass at every
+    candidate."""
+    best = None
+    cands = _rank1_candidates(atoms, tau, M)
+    for h in cands:
+        miss, missed = _covered_mass(atoms, h, M, tau)
+        if best is None or miss < best[0]:
+            best = (miss, h, missed)
+    return best[0], best[1], best[2], len(cands)
+
+
+@st.composite
+def scan_atoms(draw):
+    """Distinct rational atoms, some in +-w pairs, with small masses so
+    that equal misses are common."""
+    base = draw(
+        st.lists(st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3])), max_size=6, unique=True)
+    )
+    mirrored = draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+    values = set(base) | {-w for w, flip in zip(base, mirrored) if flip}
+    masses = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 3), st.sampled_from([1, 2, 7])),
+            min_size=len(values),
+            max_size=len(values),
+        )
+    )
+    return list(zip(sorted(values), masses))
+
+
+class TestRank1ScanOracle:
+    @given(
+        scan_atoms(),
+        st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 2)]),
+        st.integers(0, 4),
+    )
+    @example([(Fraction(-2), Fraction(1)), (Fraction(2), Fraction(1))], Fraction(0), 0)
+    @example([(Fraction(-1), Fraction(1)), (Fraction(1, 2), Fraction(1)), (Fraction(3), Fraction(2))], Fraction(1), 2)
+    @example([(Fraction(2), Fraction(1)), (Fraction(3), Fraction(1))], Fraction(0), 1)
+    @example([], Fraction(1, 2), 3)
+    @example([(Fraction(0), Fraction(3)), (Fraction(2), Fraction(1))], Fraction(0), 1)
+    @example([(Fraction(1, 2), Fraction(1)), (Fraction(3), Fraction(1))], Fraction(1, 2), 1)
+    def test_sweep_matches_brute_force(self, atoms, tau, M):
+        assert _rank1_scan(atoms, tau, M) == brute_force_rank1_scan(atoms, tau, M)
 
 
 class TestBoundRhs:

@@ -5,11 +5,14 @@ closed form exp(-2*mu) * I0(2*mu), evaluated independently with mpmath.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lostructure.distributions import (
     AtomicMeasure,
@@ -170,6 +173,78 @@ class TestWeightedSumLaw:
         F2 = uniform_on([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
             weighted_sum_law(F2, weights_1d([1]))
+
+    def test_cap_raises_before_the_product_is_built(self):
+        # 2^40 atoms in full; the cap must stop the growth, not the result
+        start = time.perf_counter()
+        with pytest.raises(AtomCapExceeded):
+            weighted_sum_law(rademacher(), weights_1d([2**k for k in range(40)]), atom_cap=10**4)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_stops_a_product_of_two_large_laws(self):
+        # two 3,000-atom laws whose product has 9e6 distinct atoms
+        F = uniform_on(range(3000))
+        start = time.perf_counter()
+        with pytest.raises(AtomCapExceeded):
+            weighted_sum_law(F, weights_1d([1, 3000]), atom_cap=6000)
+        assert time.perf_counter() - start < 1.0
+
+
+def iterated_convolution_law(F, a, atom_cap=10**6):
+    """Oracle: the direct form of weighted_sum_law, one Fraction
+    convolution per entry."""
+    if F.dim != 1:
+        raise ValueError("summand law must be one-dimensional")
+    scalars = F.scalar_atoms()
+    acc = {(Fraction(0),) * a.dim: Fraction(1)}
+    for e in a.entries:
+        nxt = {}
+        for v, m in acc.items():
+            for x, mx in scalars:
+                key = tuple(c + x * ec for c, ec in zip(v, e))
+                prev = nxt.get(key)
+                nxt[key] = m * mx if prev is None else prev + m * mx
+        if len(nxt) > atom_cap:
+            raise AtomCapExceeded(f"support grew to {len(nxt)} atoms (cap {atom_cap})")
+        acc = nxt
+    return DiscreteDistribution(a.dim, tuple(acc.items()))
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def summand_laws(draw):
+    values = draw(st.lists(small_fractions, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+    return from_scalar_atoms([(v, Fraction(w, sum(weights))) for v, w in zip(values, weights)])
+
+
+@st.composite
+def weight_vectors(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    pool = draw(st.lists(st.tuples(*[small_fractions] * dim), min_size=1, max_size=3))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    if all(all(c == 0 for c in e) for e in entries):
+        entries.append((Fraction(1),) * dim)
+    return WeightVector(dim, tuple(entries))
+
+
+def law_or_cap(fn, F, a, cap):
+    try:
+        return fn(F, a, cap)
+    except AtomCapExceeded:
+        return "cap"
+
+
+class TestWeightedSumLawOracle:
+    @given(summand_laws(), weight_vectors(), st.one_of(st.just(10**6), st.integers(1, 80)))
+    @example(uniform_on([0, 1, 3]), weights_1d([2, -1, 0, 2, 2, Fraction(1, 3)]), 10**6)
+    @example(rademacher(), WeightVector(2, ((1, 0), (0, -1), (1, 0), (0, 0), (1, 1))), 10**6)
+    @example(rademacher(), weights_1d([1, 2, 4, 8]), 15)
+    @example(rademacher(), weights_1d([1, 2, 4, 8]), 16)
+    def test_matches_iterated_convolution(self, F, a, cap):
+        assert law_or_cap(weighted_sum_law, F, a, cap) == law_or_cap(iterated_convolution_law, F, a, cap)
 
 
 class TestJumpMeasures:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from lostructure.config import RunConfig
-from lostructure.distributions import CompoundPoissonSpec, rademacher, weights_1d
+from lostructure.concentration import conc_interval
+from lostructure.distributions import CompoundPoissonSpec, rademacher, weighted_sum_law, weights_1d
 from lostructure.beta import check_cp_bound
 from lostructure.errors import InvalidWindow
 from lostructure.gap import Gap
@@ -119,6 +120,14 @@ class TestOutlierWindowParams:
         assert params.q == binomial_center_mass(45, 2) * central_atom_mass(2)
         assert params.p_val == Fraction(1, 2)
         assert params.n_prime == 3095
+
+    def test_q_is_a_lower_bound_on_the_exact_window_mass(self):
+        # a small admissible member of the recovery suite's family;
+        # the suite's own size (n_pad 5948) needs ~4.6e5 atoms and minutes
+        inst = gen_planted("outliers", {"n_pad": 1500, "n_sig": 10, "n_out": 2}, seed=0)
+        params = window_params_for_outliers(inst, RunConfig())
+        exact = conc_interval(weighted_sum_law(inst.law, inst.weight), params.tau).value
+        assert params.q <= exact
 
     def test_heavy_pad_rejected(self):
         plant = {
