@@ -4,12 +4,16 @@ Verbs: conc, gap, beta, check-bound, recover, gen, suite, calibrate.
 Inputs are JSON files using the same schemas as the to_json_dict methods;
 outputs are JSON on stdout or at --out.  --config points at a RunConfig
 JSON (default: the calibrated constants shipped with the package).
+An input file or --params that cannot be read or parsed ends with a
+one-line message on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -37,9 +41,30 @@ from .recovery import (
 )
 
 
+class _InputError(Exception):
+    """Malformed input: reported as one line on stderr, exit code 2."""
+
+
+@contextlib.contextmanager
+def _parsing(source: str):
+    """Turn a failure to read or parse `source` into an _InputError.  Wraps
+    input parsing only, so an error in a computation still surfaces."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = " ".join(str(exc).split())
+        raise _InputError(f"{source}: {type(exc).__name__}: {detail}") from exc
+
+
 def _read_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load(cls, path: str):
+    """cls.from_json_dict on the JSON file at path."""
+    with _parsing(path):
+        return cls.from_json_dict(_read_json(path))
 
 
 def _emit(obj, out: str | None) -> None:
@@ -53,7 +78,8 @@ def _emit(obj, out: str | None) -> None:
 
 def _load_cfg(args) -> RunConfig:
     if args.config:
-        return load_config(args.config)
+        with _parsing(args.config):
+            return load_config(args.config)
     try:
         return calibrated_config()
     except Exception:  # noqa: BLE001 - data file may be absent before calibration
@@ -75,7 +101,7 @@ def _dist_sampler(F: DiscreteDistribution):
 
 
 def _cmd_conc(args) -> int:
-    F = DiscreteDistribution.from_json_dict(_read_json(args.distribution))
+    F = _load(DiscreteDistribution, args.distribution)
     tau = to_fraction(args.tau)
     if args.mode == "exact":
         if tau == 0:
@@ -94,11 +120,11 @@ def _cmd_conc(args) -> int:
 def _cmd_gap(args) -> int:
     cfg = _load_cfg(args)
     if args.verb == "sandwich":
-        V = SymmetricPolytope.from_json_dict(_read_json(args.object))
+        V = _load(SymmetricPolytope, args.object)
         P, t_star = mahler_sandwich(V, enum_cap=cfg.enum_cap)
         _emit({"gap": P.to_json_dict(), "t_star": t_star}, args.out)
         return 0
-    P = Gap.from_json_dict(_read_json(args.object))
+    P = _load(Gap, args.object)
     if args.verb == "image":
         # image() yields bare Fractions for dim 1 and tuples otherwise
         pts = [v if isinstance(v, tuple) else (v,) for v in sorted(image(P, cfg.enum_cap))]
@@ -122,7 +148,7 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    W = AtomicMeasure.from_json_dict(_read_json(args.measure))
+    W = _load(AtomicMeasure, args.measure)
     res = beta(W, to_fraction(args.tau), args.r, args.m, mode=args.mode)
     _emit(res.to_json_dict(), args.out)
     return 0
@@ -130,7 +156,7 @@ def _cmd_beta(args) -> int:
 
 def _cmd_check_bound(args) -> int:
     cfg = _load_cfg(args)
-    a = WeightVector.from_json_dict(_read_json(args.weights))
+    a = _load(WeightVector, args.weights)
     cp = CompoundPoissonSpec(a, float(Fraction(args.lam)))
     rep = check_cp_bound(cp, to_fraction(args.tau), args.r, args.m, cfg)
     if args.ledger:
@@ -158,54 +184,61 @@ def _schedule_json(schedules) -> list:
 
 def _cmd_recover(args) -> int:
     cfg = _load_cfg(args)
-    inst = _read_json(args.instance)
-    a = WeightVector.from_json_dict(inst["weight"])
-    F = DiscreteDistribution.from_json_dict(inst["law"])
-    p = _read_json(args.params)
+    with _parsing(args.instance):
+        inst = _read_json(args.instance)
+        a = WeightVector.from_json_dict(inst["weight"])
+        F = DiscreteDistribution.from_json_dict(inst["law"])
+        inst_id = inst.get("id", args.instance)
+    with _parsing(args.params):
+        p = _read_json(args.params)
+        if args.mode == "full":
+            params = RecoveryParams(
+                to_fraction(p["q"]) if p.get("q") is not None else None,
+                to_fraction(p["tau"]),
+                to_fraction(p["kappa"]),
+                to_fraction(p["delta"]),
+                int(p["r"]),
+                int(p["n_prime"]),
+                a.n,
+                to_fraction(p["p_val"]) if p.get("p_val") is not None else None,
+                cfg.constants,
+            )
+        elif args.mode == "logrank":
+            tau, kappa, delta = [to_fraction(p[k]) for k in ("tau", "kappa", "delta")]
+        elif args.mode == "zero-tau":
+            schedule = functools.partial(
+                schedule_zero_tau,
+                p["A"], p["theta"], p["eps1"], p["eps2"], p["b_n"],
+                [to_fraction(x) for x in p["q_list"]], a.n, to_fraction(p["p_val"]), a, cfg,
+            )
+        else:  # scaled-tau
+            schedule = functools.partial(
+                schedule_scaled_tau,
+                p["A"], p["B"], p["D"], p["theta"], p["eps"], p["b_n"],
+                to_fraction(p["rho_n"]), to_fraction(p["p_val"]),
+                [to_fraction(x) for x in p["q_list"]], a.n, a, cfg,
+                tau_n=to_fraction(p["tau_n"]) if p.get("tau_n") is not None else None,
+                kappa_n=to_fraction(p["kappa_n"]) if p.get("kappa_n") is not None else None,
+            )
     if args.mode == "full":
-        params = RecoveryParams(
-            to_fraction(p["q"]) if p.get("q") is not None else None,
-            to_fraction(p["tau"]),
-            to_fraction(p["kappa"]),
-            to_fraction(p["delta"]),
-            int(p["r"]),
-            int(p["n_prime"]),
-            a.n,
-            to_fraction(p["p_val"]) if p.get("p_val") is not None else None,
-            cfg.constants,
-        )
         rep = recover(a, F, params, cfg)
         if args.csv:
-            report_csv([("recover", inst.get("id", args.instance), rep)], args.csv)
+            report_csv([("recover", inst_id, rep)], args.csv)
         _emit(rep.to_json_dict(), args.out)
         return 0 if not rep.flags else 1
     if args.mode == "logrank":
-        P, rep = log_rank_construct(
-            a, F, to_fraction(p["tau"]), to_fraction(p["kappa"]), to_fraction(p["delta"]), cfg
-        )
+        P, rep = log_rank_construct(a, F, tau, kappa, delta, cfg)
         if args.csv:
-            report_csv([("log_rank", inst.get("id", args.instance), rep)], args.csv)
+            report_csv([("log_rank", inst_id, rep)], args.csv)
         _emit({"gap": P.to_json_dict(), "report": rep.to_json_dict()}, args.out)
         return 0
-    if args.mode == "zero-tau":
-        sched = schedule_zero_tau(
-            p["A"], p["theta"], p["eps1"], p["eps2"], p["b_n"],
-            [to_fraction(x) for x in p["q_list"]], a.n, to_fraction(p["p_val"]), a, cfg,
-        )
-    else:  # scaled-tau
-        sched = schedule_scaled_tau(
-            p["A"], p["B"], p["D"], p["theta"], p["eps"], p["b_n"],
-            to_fraction(p["rho_n"]), to_fraction(p["p_val"]),
-            [to_fraction(x) for x in p["q_list"]], a.n, a, cfg,
-            tau_n=to_fraction(p["tau_n"]) if p.get("tau_n") is not None else None,
-            kappa_n=to_fraction(p["kappa_n"]) if p.get("kappa_n") is not None else None,
-        )
-    _emit(_schedule_json(sched), args.out)
+    _emit(_schedule_json(schedule()), args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    params = json.loads(args.params) if args.params else None
+    with _parsing("--params"):
+        params = json.loads(args.params) if args.params else None
     inst = gen_planted(args.kind, params, args.seed)
     _emit(inst.to_json_dict(), args.out)
     return 0
@@ -312,7 +345,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_calibrate)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        print(f"lostructure: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

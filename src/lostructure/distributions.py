@@ -126,10 +126,18 @@ def uniform_on(values) -> DiscreteDistribution:
 
 @dataclasses.dataclass(frozen=True)
 class WeightVector:
-    """The coefficient vector a = (a_1, ..., a_n), a_k in R^dim, a != 0."""
+    """The coefficient vector a = (a_1, ..., a_n), a_k in R^dim, a != 0.
+
+    ``counts`` is the multiplicity table of the entries: each distinct entry
+    once, in order of first occurrence, with the number of k holding it.  It
+    is derived in ``__post_init__`` and takes no part in equality, hashing,
+    ``repr`` or the JSON form.  Every computation that depends on the
+    entries only as a multiset walks ``counts`` instead of ``entries``.
+    """
 
     dim: int
     entries: tuple[Vec, ...]
+    counts: tuple[tuple[Vec, int], ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -137,7 +145,8 @@ class WeightVector:
         object.__setattr__(self, "entries", tuple(to_vec(e, self.dim) for e in self.entries))
         if len(self.entries) < 1:
             raise ValueError("need n >= 1 entries")
-        if all(all(c == 0 for c in e) for e in self.entries):
+        object.__setattr__(self, "counts", tuple(Counter(self.entries).items()))
+        if all(all(c == 0 for c in e) for e, _ in self.counts):
             raise ValueError("weight vector must not be identically zero")
 
     @property
@@ -146,7 +155,7 @@ class WeightVector:
 
     @property
     def norm_sq(self) -> Fraction:
-        return sum((sum((c * c for c in e), Fraction(0)) for e in self.entries), Fraction(0))
+        return sum((k * sum((c * c for c in e), Fraction(0)) for e, k in self.counts), Fraction(0))
 
     def coordinate(self, j: int) -> "WeightVector":
         """Projection a^(j) as a one-dimensional weight vector (0-based j)."""
@@ -323,15 +332,15 @@ def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = D
     if F.dim != 1:
         raise ValueError("summand law must be one-dimensional")
     scalars = F.scalar_atoms()
-    groups = Counter(e for e in a.entries if any(e))
-    G = math.lcm(*((x * c).denominator for e in groups for c in e for x, _ in scalars))
+    groups = [(e, mult) for e, mult in a.counts if any(e)]
+    G = math.lcm(*((x * c).denominator for e, _ in groups for c in e for x, _ in scalars))
     D = math.lcm(*(m.denominator for _, m in scalars))
     acc = {(0,) * a.dim: 1}
-    for e, mult in groups.items():
+    for e, mult in groups:
         # e != 0, so distinct atoms of F give distinct values x * e
         law = {tuple(int(x * c * G) for c in e): int(m * D) for x, m in scalars}
         acc = _convolve(acc, _convolution_power(law, mult, atom_cap), atom_cap)
-    total = D ** sum(groups.values())
+    total = D ** sum(mult for _, mult in groups)
     return DiscreteDistribution(
         a.dim, tuple((tuple(Fraction(k, G) for k in key), Fraction(m, total)) for key, m in sorted(acc.items()))
     )
@@ -339,19 +348,16 @@ def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = D
 
 def levy_measure_star(a: WeightVector) -> AtomicMeasure:
     """Atom measure with unit mass at each of +-a_k; total 2n."""
-    acc: dict[Vec, Fraction] = {}
-    for e in a.entries:
+    acc: dict[Vec, int] = {}
+    for e, mult in a.counts:
         for v in (e, tuple(-c for c in e)):
-            acc[v] = acc.get(v, Fraction(0)) + 1
+            acc[v] = acc.get(v, 0) + mult
     return AtomicMeasure(a.dim, tuple(acc.items()))
 
 
 def levy_measure_plain(a: WeightVector) -> AtomicMeasure:
     """Atom measure with unit mass at each a_k (no reflection); total n."""
-    acc: dict[Vec, Fraction] = {}
-    for e in a.entries:
-        acc[e] = acc.get(e, Fraction(0)) + 1
-    return AtomicMeasure(a.dim, tuple(acc.items()))
+    return AtomicMeasure(a.dim, a.counts)
 
 
 def char_fn_H(a: WeightVector, t, lam: float) -> float:
@@ -378,10 +384,7 @@ def sample_H_lambda(spec: CompoundPoissonSpec, count: int, seed: int) -> np.ndar
     a = spec.weight
     out = np.zeros((count, a.dim))
     if spec.lam > 0:
-        groups: dict[Vec, int] = {}
-        for e in a.entries:
-            groups[e] = groups.get(e, 0) + 1
-        for e, mult in groups.items():  # first-occurrence order: deterministic
+        for e, mult in a.counts:  # first-occurrence order: deterministic
             ev = np.array([float(c) for c in e])
             if not ev.any():
                 continue
@@ -403,11 +406,11 @@ def h_point_mass_zero(a: WeightVector, lam: float, tol: float = 1e-12, support_c
     if lam == 0:
         return 1.0
     groups: dict[Vec, int] = {}
-    for e in a.entries:
+    for e, mult in a.counts:
         if all(c == 0 for c in e):
             continue
         key = min(e, tuple(-c for c in e))  # +-v generate the same jump law
-        groups[key] = groups.get(key, 0) + 1
+        groups[key] = groups.get(key, 0) + mult
     if not groups:
         return 1.0
     per_group_tol = tol / len(groups)

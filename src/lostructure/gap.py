@@ -13,7 +13,6 @@ import bisect
 import dataclasses
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -420,7 +419,7 @@ def coverage_count(Kimg, delta, a: WeightVector) -> int:
     d = to_fraction(delta)
     pts = tuple(sorted(Kimg))
     scalar = a.dim == 1 and bool(pts) and isinstance(pts[0], Fraction)
-    return sum(mult for e, mult in Counter(a.entries).items() if near(pts, e[0] if scalar else e, d))
+    return sum(mult for e, mult in a.counts if near(pts, e[0] if scalar else e, d))
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,17 @@ class Instance:
         delta0 = to_fraction(self.planted.get("delta0", 0))
         pts = tuple(sorted(image(P)))
         dim1 = self.weight.dim == 1
-        covered = {e: near(pts, e[0] if dim1 else e, delta0) for e in set(self.weight.entries)}
-        for k, e in enumerate(self.weight.entries):
-            if k not in outliers and not covered[e]:
-                raise ValueError(f"planted structure misses non-outlier entry {k}")
+        entries = self.weight.entries
+        if not all(0 <= k < len(entries) for k in outliers):
+            raise ValueError("outlier index out of range")
+        # multiplicity of each entry off the structure, less its outlier positions
+        missed = {e: mult for e, mult in self.weight.counts if not near(pts, e[0] if dim1 else e, delta0)}
+        for k in outliers:
+            if entries[k] in missed:
+                missed[entries[k]] -= 1
+        if any(missed.values()):
+            first = next(k for k, e in enumerate(entries) if k not in outliers and e in missed)
+            raise ValueError(f"planted structure misses non-outlier entry {first}")
 
     def to_json_dict(self) -> dict:
         d = {
@@ -387,17 +394,10 @@ def product_coordinate_params(inst: Instance, j: int, cfg: RunConfig) -> Recover
     """
     g = inst.planted["gap"].generators[j][j]
     out_idx = set(inst.planted["outliers"])
-    n_sig = sum(
-        1 for k, e in enumerate(inst.weight.entries) if k not in out_idx and abs(e[j]) == g
-    )
-    pad_total = sum(
-        (
-            abs(e[j])
-            for k, e in enumerate(inst.weight.entries)
-            if k not in out_idx and abs(e[j]) != g
-        ),
-        Fraction(0),
-    )
+    # multiplicity sums over the distinct entries, less the entries at the outlier positions
+    rows = (*inst.weight.counts, *((inst.weight.entries[k], -1) for k in out_idx))
+    n_sig = sum(mult for e, mult in rows if abs(e[j]) == g)
+    pad_total = sum((mult * abs(e[j]) for e, mult in rows if abs(e[j]) != g), Fraction(0))
     tau = 8 * g
     if pad_total > tau / 4:
         raise ValueError("pad block too heavy for the certified window estimate")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -490,11 +489,9 @@ def recover_multid(
     per_images_star = [cgap_image(k, cfg.enum_cap) for k in factors_star]
     per_images_ss = [cgap_image(k, cfg.enum_cap) for k in factors_ss]
 
-    entries = Counter(a.entries)
-
     def joint_count(per_images) -> int:
         pts = [tuple(sorted(img)) for img in per_images]
-        return sum(mult for e, mult in entries.items() if all(near(pts[j], e[j], deltas[j]) for j in range(d)))
+        return sum(mult for e, mult in a.counts if all(near(pts[j], e[j], deltas[j]) for j in range(d)))
 
     joint = {"K_star": joint_count(per_images_star), "K_star_star": joint_count(per_images_ss)}
     sizes = {
@@ -732,22 +729,22 @@ def log_rank_construct(
     q = (conc_interval(law, t) if t > 0 else conc_zero(law)).value
     p_val = tail_mass(symmetrize(F), t / k)
 
-    weights = [e[0] for e in a.entries]
+    weights = [(e[0], mult) for e, mult in a.counts]
     img: set[Fraction] = {Fraction(0)}
     gens: list[Fraction] = []
 
-    def uncovered() -> list[Fraction]:
+    def uncovered() -> list[tuple[Fraction, int]]:
         pts = tuple(sorted(img))
-        return [w for w in weights if not near(pts, w, d)]
+        return [(w, mult) for w, mult in weights if not near(pts, w, d)]
 
     rank_budget = min(rank_budget, int(math.log(cfg.enum_cap, 3)))
     residual = uncovered()
     while residual and len(gens) < rank_budget:
         best = None
-        for g in _greedy_candidates(residual, img, d):
+        for g in _greedy_candidates([w for w, _ in residual], img, d):
             grown = img | {y + g for y in img} | {y - g for y in img}
             pts = tuple(sorted(grown))
-            score = sum(1 for w in residual if near(pts, w, d))
+            score = sum(mult for w, mult in residual if near(pts, w, d))
             key = (-score, g)
             if best is None or key < best[0]:
                 best = (key, g, grown)
@@ -759,7 +756,7 @@ def log_rank_construct(
         residual = uncovered()
 
     P = Gap(1, len(gens), tuple(Fraction(1) for _ in gens), tuple((g,) for g in gens)) if gens else zero_gap(1)
-    n_prime = len(residual)
+    n_prime = sum(mult for _, mult in residual)
     c8 = cfg.constants.c_logrank
     logq = abs(math.log(float(q)))
     if t > 0:

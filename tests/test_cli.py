@@ -14,7 +14,7 @@ from lostructure.distributions import (
     weights_1d,
 )
 from lostructure.errors import EnumerationCapExceeded
-from lostructure.harness import binomial_center_mass
+from lostructure.harness import binomial_center_mass, gen_planted
 from lostructure.rational import format_fraction
 
 
@@ -283,3 +283,44 @@ class TestGlobalFlags:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestBadInput:
+    """Unreadable or malformed input: exit code 2, one line on stderr."""
+
+    def assert_one_line_error(self, capsys, argv, *fragments):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("lostructure: error: ")
+        assert "Traceback" not in err
+        for f in fragments:
+            assert f in err
+
+    def test_recover_on_empty_objects(self, tmp_path, capsys):
+        x = write_json(tmp_path, "x.json", {})
+        self.assert_one_line_error(capsys, ["recover", x, x], "x.json", "KeyError", "'weight'")
+
+    def test_non_json_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        self.assert_one_line_error(capsys, ["conc", str(bad)], "bad.json", "JSONDecodeError")
+        self.assert_one_line_error(capsys, ["recover", str(bad), str(bad)], "bad.json")
+        self.assert_one_line_error(capsys, ["conc", str(tmp_path / "missing.json")], "missing.json")
+        self.assert_one_line_error(capsys, ["--config", str(bad), "suite", "gap_laws"], "bad.json")
+
+    def test_gen_params_not_json(self, capsys):
+        self.assert_one_line_error(capsys, ["gen", "--kind", "ap", "--params", "{"], "--params", "JSONDecodeError")
+
+    def test_recover_params_missing_field(self, tmp_path, capsys):
+        inst = write_json(tmp_path, "inst.json", gen_planted("ap", {"n": 4}).to_json_dict())
+        params = write_json(tmp_path, "params.json", {"tau": "0"})
+        for mode in ("full", "logrank", "zero-tau", "scaled-tau"):
+            self.assert_one_line_error(capsys, ["recover", inst, params, "--mode", mode], "params.json", "KeyError")
+
+    def test_computation_errors_still_raise(self, tmp_path):
+        """Only parsing is mapped to exit code 2: delta > kappa is rejected by
+        the computation, and that error surfaces."""
+        inst = write_json(tmp_path, "inst.json", gen_planted("ap", {"n": 4}).to_json_dict())
+        params = write_json(tmp_path, "params.json", {"tau": "0", "kappa": "1", "delta": "2"})
+        with pytest.raises(ValueError, match="delta <= kappa"):
+            main(["recover", inst, params, "--mode", "logrank"])

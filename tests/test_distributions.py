@@ -4,6 +4,7 @@ Reference values for the Poisson-difference mass at zero come from the
 closed form exp(-2*mu) * I0(2*mu), evaluated independently with mpmath.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -34,6 +35,7 @@ from lostructure.distributions import (
     weights_1d,
 )
 from lostructure.errors import AtomCapExceeded
+from strategies import repeated_weight_vectors, vectors
 
 
 def skellam_pmf(j: int, mu: float) -> float:
@@ -371,3 +373,133 @@ class TestPointMassAtZero:
         got = h_point_mass_zero(weights_1d([1, 2]), 4.0)
         floor = skellam_zero(1.0) ** 2
         assert got > floor
+
+
+# ---------------------------------------------------------------------------
+# Multiplicity table: the per-entry implementations it replaced, kept as
+# oracles, must agree with the versions that walk WeightVector.counts.
+# ---------------------------------------------------------------------------
+
+
+def norm_sq_per_entry(a):
+    return sum((sum((c * c for c in e), Fraction(0)) for e in a.entries), Fraction(0))
+
+
+def levy_measure_star_per_entry(a):
+    """Atom measure with unit mass at each of +-a_k; total 2n."""
+    acc = {}
+    for e in a.entries:
+        for v in (e, tuple(-c for c in e)):
+            acc[v] = acc.get(v, Fraction(0)) + 1
+    return AtomicMeasure(a.dim, tuple(acc.items()))
+
+
+def levy_measure_plain_per_entry(a):
+    """Atom measure with unit mass at each a_k (no reflection); total n."""
+    acc = {}
+    for e in a.entries:
+        acc[e] = acc.get(e, Fraction(0)) + 1
+    return AtomicMeasure(a.dim, tuple(acc.items()))
+
+
+def sample_H_lambda_per_entry(spec, count, seed):
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rng = np.random.default_rng(seed)
+    a = spec.weight
+    out = np.zeros((count, a.dim))
+    if spec.lam > 0:
+        groups = {}
+        for e in a.entries:
+            groups[e] = groups.get(e, 0) + 1
+        for e, mult in groups.items():  # first-occurrence order: deterministic
+            ev = np.array([float(c) for c in e])
+            if not ev.any():
+                continue
+            rate = mult * spec.lam / 4.0
+            diff = rng.poisson(rate, count).astype(float) - rng.poisson(rate, count).astype(float)
+            out += diff[:, None] * ev[None, :]
+    return out[:, 0] if a.dim == 1 else out
+
+
+_PINNED = WeightVector(2, ((1, 0), (0, 0), (-1, 0), (1, 0), (0, 0), (Fraction(1, 2), -3)))
+
+
+class TestMultiplicityTable:
+    @given(repeated_weight_vectors(), st.sampled_from([0.0, 0.5, 3.0]), st.integers(0, 2**16))
+    @example(_PINNED, 2.0, 0)
+    def test_matches_per_entry_oracles(self, a, lam, seed):
+        """counts against a brute-force count in first-occurrence order, and
+        every caller against the per-entry version it replaced; the sampler
+        must make the same draws."""
+        first = []
+        for e in a.entries:
+            if e not in first:
+                first.append(e)
+        assert a.counts == tuple((e, a.entries.count(e)) for e in first)
+        assert a.norm_sq == norm_sq_per_entry(a)
+        assert levy_measure_star(a) == levy_measure_star_per_entry(a)
+        assert levy_measure_plain(a) == levy_measure_plain_per_entry(a)
+        spec = CompoundPoissonSpec(a, lam)
+        assert np.array_equal(sample_H_lambda(spec, 64, seed), sample_H_lambda_per_entry(spec, 64, seed))
+
+    def test_counts_pinned(self):
+        zero = (Fraction(0), Fraction(0))
+        assert _PINNED.counts == (
+            ((Fraction(1), Fraction(0)), 2),
+            (zero, 2),
+            ((Fraction(-1), Fraction(0)), 1),
+            ((Fraction(1, 2), Fraction(-3)), 1),
+        )
+
+    def test_counts_is_derived(self):
+        with pytest.raises(TypeError):
+            WeightVector(1, ((1,),), counts=(((Fraction(1),), 1),))
+
+
+# ---------------------------------------------------------------------------
+# JSON round trips.
+# ---------------------------------------------------------------------------
+
+
+def json_round_trip(obj):
+    return type(obj).from_json_dict(json.loads(json.dumps(obj.to_json_dict())))
+
+
+@st.composite
+def laws(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    values = draw(st.lists(vectors(dim), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+    return DiscreteDistribution(dim, tuple((v, Fraction(w, sum(weights))) for v, w in zip(values, weights)))
+
+
+@st.composite
+def atomic_measures(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    values = draw(st.lists(vectors(dim), max_size=6, unique=True))
+    masses = st.fractions(min_value=Fraction(1, 8), max_value=10, max_denominator=8)
+    return AtomicMeasure(dim, tuple((v, draw(masses)) for v in values))
+
+
+class TestJsonRoundTrip:
+    @given(repeated_weight_vectors(max_mult=5))
+    @example(_PINNED)
+    def test_weight_vector(self, a):
+        d = a.to_json_dict()
+        assert set(d) == {"dim", "entries"}
+        b = json_round_trip(a)
+        assert b == a and hash(b) == hash(a)
+        assert b.entries == a.entries and b.counts == a.counts
+        # the table takes no part in equality or hashing
+        object.__setattr__(b, "counts", ())
+        assert b == a and hash(b) == hash(a)
+        assert "counts" not in repr(a)
+
+    @given(laws())
+    def test_discrete_distribution(self, F):
+        assert json_round_trip(F) == F
+
+    @given(atomic_measures())
+    def test_atomic_measure(self, W):
+        assert json_round_trip(W) == W

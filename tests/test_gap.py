@@ -6,7 +6,9 @@ different objects unless their triples match, and several tests rely on
 that to pin down what an operation returned.
 """
 
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,8 @@ from lostructure.gap import (
     zero_gap,
 )
 from lostructure.distributions import weights_1d
+from lostructure.rational import to_fraction
+from strategies import coords, repeated_weight_vectors, vectors
 
 rationals = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(9, 2)).filter(lambda x: x > 0)
 
@@ -392,3 +396,34 @@ class TestEmbedProper:
         assert is_proper(res.gap)
         assert image(P) <= image(res.gap)
         assert res.gap.rank <= P.rank
+
+
+def coverage_count_per_entry(Kimg, delta, a):
+    """coverage_count as it counted the entries afresh on each call (oracle)."""
+    d = to_fraction(delta)
+    pts = tuple(sorted(Kimg))
+    scalar = a.dim == 1 and bool(pts) and isinstance(pts[0], Fraction)
+    return sum(mult for e, mult in Counter(a.entries).items() if near(pts, e[0] if scalar else e, d))
+
+
+class TestCoverageFromCounts:
+    @given(repeated_weight_vectors(), st.data(), _deltas)
+    def test_matches_per_entry_count(self, a, data, delta):
+        pts = coords if a.dim == 1 else vectors(a.dim)
+        img = data.draw(st.frozensets(pts, max_size=6))
+        assert coverage_count(img, delta, a) == coverage_count_per_entry(img, delta, a)
+
+
+@st.composite
+def gaps(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    rank = draw(st.integers(0, 3))
+    dims = draw(st.lists(rationals, min_size=rank, max_size=rank))
+    gens = draw(st.lists(vectors(dim), min_size=rank, max_size=rank))
+    return Gap(dim, rank, tuple(dims), tuple(gens))
+
+
+class TestGapJsonRoundTrip:
+    @given(gaps())
+    def test_round_trip(self, P):
+        assert Gap.from_json_dict(json.loads(json.dumps(P.to_json_dict()))) == P

@@ -1,12 +1,20 @@
 """Planted instances, window helpers, and the CSV reporting plumbing."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from lostructure.config import RunConfig
 from lostructure.concentration import conc_interval
-from lostructure.distributions import CompoundPoissonSpec, rademacher, weighted_sum_law, weights_1d
+from lostructure.distributions import (
+    CompoundPoissonSpec,
+    rademacher,
+    symmetrize,
+    tail_mass,
+    weighted_sum_law,
+    weights_1d,
+)
 from lostructure.beta import check_cp_bound
 from lostructure.errors import InvalidWindow
 from lostructure.gap import Gap
@@ -18,6 +26,7 @@ from lostructure.harness import (
     central_atom_mass,
     gen_planted,
     min_admissible_n_prime,
+    product_coordinate_params,
     report_csv,
     run_suite,
     window_params_for_outliers,
@@ -213,3 +222,67 @@ class TestRunSuite:
             "product_recovery",
             "log_rank",
         }
+
+
+def product_coordinate_params_per_entry(inst, j, cfg):
+    """product_coordinate_params as it summed over every entry (oracle)."""
+    g = inst.planted["gap"].generators[j][j]
+    out_idx = set(inst.planted["outliers"])
+    n_sig = sum(
+        1 for k, e in enumerate(inst.weight.entries) if k not in out_idx and abs(e[j]) == g
+    )
+    pad_total = sum(
+        (
+            abs(e[j])
+            for k, e in enumerate(inst.weight.entries)
+            if k not in out_idx and abs(e[j]) != g
+        ),
+        Fraction(0),
+    )
+    tau = 8 * g
+    if pad_total > tau / 4:
+        raise ValueError("pad block too heavy for the certified window estimate")
+    q = binomial_center_mass(n_sig, 2)
+    if out_idx:
+        q *= central_atom_mass(len(out_idx))
+    p_val = tail_mass(symmetrize(inst.law), Fraction(1))  # tau/kappa = 1
+    base = RecoveryParams(q, tau, tau, g / 2, 1, 1, inst.weight.n, p_val, cfg.constants)
+    return dataclasses.replace(base, n_prime=min_admissible_n_prime(base))
+
+
+class TestParamsFromCounts:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_families_match_per_entry_sums(self, seed):
+        """The suites' own sizes: smaller members admit no window."""
+        cfg = RunConfig()
+        inst = gen_planted("outliers", {"n_pad": 5948, "n_sig": 50, "n_out": 2}, seed=seed)
+        assert window_params_for_outliers(inst, cfg) == product_coordinate_params_per_entry(inst, 0, cfg)
+        inst = gen_planted("product_d", {"d": 2, "n_pad": 11950, "n_sig": 48, "n_out": 2}, seed=seed)
+        for j in range(2):
+            assert product_coordinate_params(inst, j, cfg) == product_coordinate_params_per_entry(inst, j, cfg)
+
+    def test_outlier_whose_value_is_g(self):
+        """Outliers are positions, not values: the outlier at g is neither
+        signal nor pad, and the huge outlier is not pad either."""
+        cfg = RunConfig()
+        g, pad = Fraction(2), Fraction(1, 4000)
+        signal = [g, -g] * 25
+        entries = [pad] * 3000 + signal[:20] + [g] + signal[20:] + [pad] * 2948 + [10**5 * g]
+        plant = {"gap": Gap(1, 1, (Fraction(50),), ((g,),)), "outliers": (3020, 5999), "delta0": pad}
+        inst = Instance("hand", weights_1d(entries), rademacher(), plant, 0)
+        params = window_params_for_outliers(inst, cfg)
+        assert params == product_coordinate_params_per_entry(inst, 0, cfg)
+        assert params.q == binomial_center_mass(50, 2) * central_atom_mass(2)
+
+
+class TestInstanceValidationFromCounts:
+    def test_reports_first_missing_index(self):
+        plant = {"gap": Gap(1, 1, (Fraction(1),), ((Fraction(1),),)), "outliers": (1,), "delta0": Fraction(0)}
+        with pytest.raises(ValueError, match="entry 3$"):
+            Instance("bad", weights_1d([1, 5, -1, 5, 7, 5]), rademacher(), plant, 0)
+        Instance("ok", weights_1d([1, 5, -1]), rademacher(), plant, 0)
+
+    def test_outlier_index_out_of_range(self):
+        plant = {"gap": Gap(1, 1, (Fraction(1),), ((Fraction(1),),)), "outliers": (2,), "delta0": Fraction(0)}
+        with pytest.raises(ValueError, match="out of range"):
+            Instance("bad", weights_1d([1, 5]), rademacher(), plant, 0)

@@ -6,16 +6,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lostructure.config import RunConfig
-from lostructure.distributions import WeightVector, rademacher, weights_1d
+from lostructure.distributions import WeightVector, point_mass, rademacher, weights_1d
 from lostructure.errors import (
     FLAG_NO_INFORMATION,
     InvalidSchedule,
     InvalidWindow,
     TrivialCase,
 )
-from lostructure.gap import cgap_image, image, zero_cgap, zero_gap
+from lostructure.gap import cgap_image, image, near, zero_cgap, zero_gap
 from lostructure.harness import (
     binomial_center_mass,
     central_atom_mass,
@@ -25,6 +27,7 @@ from lostructure.harness import (
 )
 from lostructure.recovery import (
     RecoveryParams,
+    _greedy_candidates,
     log_rank_construct,
     log_rank_construct_multid,
     make_params,
@@ -34,6 +37,7 @@ from lostructure.recovery import (
     schedule_zero_tau,
     select_m,
 )
+from strategies import repeated_weight_vectors
 
 HALF = Fraction(1, 2)
 
@@ -371,3 +375,53 @@ class TestLogRank:
         assert P.rank == 3 and len(reps) == 2
         for g in P.generators:
             assert sum(1 for x in g if x != 0) == 1
+
+
+def log_rank_loop_per_entry(a, d, cfg, rank_budget=12):
+    """The greedy loop of log_rank_construct as it walked one weight per
+    entry (the oracle): returns the generators and n'."""
+    weights = [e[0] for e in a.entries]
+    img = {Fraction(0)}
+    gens = []
+
+    def uncovered():
+        pts = tuple(sorted(img))
+        return [w for w in weights if not near(pts, w, d)]
+
+    rank_budget = min(rank_budget, int(math.log(cfg.enum_cap, 3)))
+    residual = uncovered()
+    while residual and len(gens) < rank_budget:
+        best = None
+        for g in _greedy_candidates(residual, img, d):
+            grown = img | {y + g for y in img} | {y - g for y in img}
+            pts = tuple(sorted(grown))
+            score = sum(1 for w in residual if near(pts, w, d))
+            key = (-score, g)
+            if best is None or key < best[0]:
+                best = (key, g, grown)
+        if best is None or -best[0][0] == 0:
+            break
+        _, g, grown = best
+        gens.append(g)
+        img = grown
+        residual = uncovered()
+    return gens, len(residual)
+
+
+class TestLogRankFromCounts:
+    @given(
+        repeated_weight_vectors(dims=(1,), max_values=4, max_mult=200),
+        st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+        st.integers(1, 12),
+    )
+    @example(weights_1d([1] * 200 + [10] * 150 + [11] * 3 + [9, 0, -1]), Fraction(0), 12)
+    @example(weights_1d([1] * 5 + [7, -7]), Fraction(0), 1)
+    def test_matches_per_entry_loop(self, a, delta, rank_budget):
+        """The loop sees only a and delta, so a point-mass summand keeps the
+        exact law at one atom however many entries repeat.  A small rank
+        budget leaves a residual, so n' and the scores' ties count."""
+        cfg = RunConfig()
+        P, rep = log_rank_construct(a, point_mass(1), 1, 1, delta, cfg, rank_budget)
+        gens, n_prime = log_rank_loop_per_entry(a, delta, cfg, rank_budget)
+        assert P.generators == tuple((g,) for g in gens)
+        assert (rep.r, rep.n_prime, rep.coverage) == (len(gens), n_prime, a.n - n_prime)
