@@ -32,7 +32,7 @@ from .distributions import (
 )
 from .errors import FLAG_DEGENERATE_BETA, UnsupportedRank
 from .gap import Cgap, SymmetricPolytope, box_body, cgap_image, interval_body, near, zero_cgap
-from .rational import format_fraction, to_fraction
+from .rational import common_grid, format_fraction, to_fraction
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -74,78 +74,104 @@ def _interval_dim(M: int) -> Fraction:
     return Fraction(M) if M >= 1 else Fraction(1, 2)
 
 
+def _covers(W: int, H: int, T: int, M: int) -> bool:
+    """|w - c*h| <= tau for some integer |c| <= M, with w, h and tau given
+    as the integers W, H and T on one grid.  The best c is the clamp of
+    floor(w/h) or of the next integer."""
+    if H == 0:
+        return abs(W) <= T
+    f = W // H
+    return any(abs(W - max(-M, min(M, c)) * H) <= T for c in (f, f + 1))
+
+
 def _covered_mass(atoms, h: Fraction, M: int, tau: Fraction) -> tuple[Fraction, list]:
-    """(missed mass, missed atoms) against the multiples {nu*h : |nu| <= M}."""
-    miss = Fraction(0)
-    missed = []
-    for w, mass in atoms:
-        if h == 0:
-            ok = abs(w) <= tau
-        else:
-            nu = round(w / h)
-            ok = False
-            for cand in (nu - 1, nu, nu + 1):
-                c = max(-M, min(M, cand))
-                if abs(w - c * h) <= tau:
-                    ok = True
-                    break
-        if not ok:
-            miss += mass
-            missed.append((w, mass))
-    return miss, missed
+    """(missed mass, missed atoms) against the multiples {nu*h : |nu| <= M},
+    decided on the integer grid of the atoms, h and tau."""
+    _, (H, T, *ws) = common_grid([h, tau, *(w for w, _ in atoms)])
+    missed = [atom for W, atom in zip(ws, atoms) if not _covers(W, H, T, M)]
+    return sum((mass for _, mass in missed), Fraction(0)), missed
+
+
+def _rank1_grid(atoms, tau: Fraction, M: int) -> tuple[int, int, list]:
+    """(S, T, grid): the atoms and tau on one integer grid of scale
+    S = G * lcm(1..M), G the lcm of their denominators, on which every
+    rank-1 candidate with multiplier at most M is an integer.  grid holds
+    (w*S, mass as an integer over the common mass denominator, atom)."""
+    lcm_M = math.lcm(*range(1, M + 1))
+    G, (T, *ws) = common_grid([tau, *(w for w, _ in atoms)])
+    _, masses = common_grid(mass for _, mass in atoms)
+    return G * lcm_M, T * lcm_M, [(W * lcm_M, mi, atom) for W, mi, atom in zip(ws, masses, atoms)]
+
+
+def _candidate_keys(grid, T: int, M: int) -> list[int]:
+    # coverage of w by nu*h is |w - nu*h| <= tau: an interval in h whose
+    # endpoints are (|w| +- tau)/nu; the objective is constant in between,
+    # so the endpoints plus h=0 are exhaustive.  The exact hits |w|/nu add
+    # nothing to the optimum but stay in the list, whose length is reported
+    # as candidates_searched and whose order breaks ties in _rank1_scan.
+    # On the grid of _rank1_grid every candidate is an integer key.
+    keys = {0}
+    for W, _, _ in grid:
+        aw = abs(W)
+        for nu in range(1, M + 1):
+            keys.add((aw + T) // nu)
+            keys.add(abs(aw - T) // nu)
+            keys.add(aw // nu)
+    return sorted(keys)
 
 
 def _rank1_candidates(atoms, tau: Fraction, M: int) -> list[Fraction]:
-    # coverage of w by nu*h is |w - nu*h| <= tau: an interval in h whose
-    # endpoints are (w +- tau)/nu; the objective is constant in between,
-    # so the endpoints plus h=0 are exhaustive.  The exact hits w/nu add
-    # nothing to the optimum but stay in the list, whose length is reported
-    # as candidates_searched and whose order breaks ties in _rank1_scan.
-    cand = {Fraction(0)}
-    for w, _ in atoms:
-        for nu in range(1, M + 1):
-            cand.add(abs((w + tau) / nu))
-            cand.add(abs((w - tau) / nu))
-            cand.add(abs(w / nu))
-    return sorted(cand)
+    """The sorted exhaustive rank-1 candidates h: computed as integer keys
+    on the grid of _rank1_grid, returned as Fractions."""
+    S, T, grid = _rank1_grid(atoms, tau, M)
+    return [Fraction(k, S) for k in _candidate_keys(grid, T, M)]
 
 
-def _rank1_scan(atoms, tau: Fraction, M: int):
-    """Best (miss, h, missed-atoms, searched) over the exhaustive candidates.
+def _grid_scan(grid, T: int, M: int, S: int):
+    """(h, missed grid entries, searched): the best candidate on the grid.
 
     An atom with |w| <= tau is covered at every h.  Any other atom is
     covered at h exactly when h lies in one of the closed intervals
     [(|w| - tau)/c, (|w| + tau)/c], c = 1..M.  One sweep over the sorted
-    candidates keeps a count of active intervals per atom and the missed
-    mass as an integer over a common denominator; the first candidate with
-    the least miss wins, and _covered_mass lists the misses there.
+    candidate keys keeps a count of active intervals per atom and the
+    missed mass as an integer; the first candidate with the least miss
+    wins, and _covers lists the misses there.  Every comparison is on
+    integers; the winner becomes a Fraction once.
     """
-    cands = _rank1_candidates(atoms, tau, M)
-    den = math.lcm(*(mass.denominator for _, mass in atoms))
-    far = [(abs(w), int(mass * den)) for w, mass in atoms if abs(w) > tau]
-    starts = sorted(((aw - tau) / c, i) for i, (aw, _) in enumerate(far) for c in range(1, M + 1))
-    ends = sorted(((aw + tau) / c, i) for i, (aw, _) in enumerate(far) for c in range(1, M + 1))
+    keys = _candidate_keys(grid, T, M)
+    far = [(abs(W), mi) for W, mi, _ in grid if abs(W) > T]
+    starts = sorted(((aw - T) // c, i) for i, (aw, _) in enumerate(far) for c in range(1, M + 1))
+    ends = sorted(((aw + T) // c, i) for i, (aw, _) in enumerate(far) for c in range(1, M + 1))
     active = [0] * len(far)
-    miss = sum(mass for _, mass in far)
-    best_miss, best_h = None, None
+    miss = sum(mi for _, mi in far)
+    best_miss, best_key = None, None
     si = ei = 0
-    for h in cands:
-        while si < len(starts) and starts[si][0] <= h:
+    for key in keys:
+        while si < len(starts) and starts[si][0] <= key:
             i = starts[si][1]
             if not active[i]:
                 miss -= far[i][1]
             active[i] += 1
             si += 1
-        while ei < len(ends) and ends[ei][0] < h:
+        while ei < len(ends) and ends[ei][0] < key:
             i = ends[ei][1]
             active[i] -= 1
             if not active[i]:
                 miss += far[i][1]
             ei += 1
         if best_miss is None or miss < best_miss:
-            best_miss, best_h = miss, h
-    miss, missed = _covered_mass(atoms, best_h, M, tau)
-    return miss, best_h, missed, len(cands)
+            best_miss, best_key = miss, key
+    missed = [g for g in grid if not _covers(g[0], best_key, T, M)]
+    return Fraction(best_key, S), missed, len(keys)
+
+
+def _rank1_scan(atoms, tau: Fraction, M: int):
+    """Best (miss, h, missed-atoms, searched) over the exhaustive candidates,
+    swept on the integer grid of _rank1_grid (see _grid_scan)."""
+    S, T, grid = _rank1_grid(atoms, tau, M)
+    h, missed, searched = _grid_scan(grid, T, M, S)
+    missed = [atom for _, _, atom in missed]
+    return sum((mass for _, mass in missed), Fraction(0)), h, missed, searched
 
 
 def beta(W, tau, r: int, m: int, mode: str = "auto") -> BetaResult:
@@ -191,16 +217,19 @@ def _beta_rank2(W, atoms, tau: Fraction, m: int) -> BetaResult:
     searched = 0
     best = None  # (value, sortkey, witness)
     M_max = (m - 1) // 2
+    # one grid for every scan: M1 and M2 never exceed M_max, and the
+    # residual atoms are a subset of the atoms
+    S, T, grid = _rank1_grid(atoms, tau, M_max)
     for M1 in range(0, M_max + 1):
         size1 = 2 * M1 + 1
         M2_cap = (m // size1 - 1) // 2
-        miss1, h1, missed, s1 = _rank1_scan(atoms, tau, M1)
+        h1, missed, s1 = _grid_scan(grid, T, M1, S)
         searched += s1
         for M2 in range(0, M2_cap + 1):
             # beam: pair the stage-one pick with a residual re-scan
             h2_pool = {Fraction(0)}
             if missed:
-                _, h2_best, _, s2 = _rank1_scan(missed, tau, M2)
+                h2_best, _, s2 = _grid_scan(missed, T, M2, S)
                 searched += s2
                 h2_pool.add(h2_best)
             for h2 in sorted(h2_pool):

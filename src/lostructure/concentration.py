@@ -11,6 +11,7 @@ tau > 0 only the Monte-Carlo estimator is offered.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Optional
@@ -27,7 +28,7 @@ from .distributions import (
     weighted_sum_law,
 )
 from .errors import QuadratureFailure
-from .rational import format_fraction, to_fraction
+from .rational import common_grid, format_fraction, to_fraction
 
 MODE_EXACT = "exact"
 MODE_UPPER = "upper_bound"
@@ -71,6 +72,10 @@ def conc_interval(F: DiscreteDistribution, tau) -> ConcentrationResult:
     The optimum window can be slid so its left endpoint sits on an atom,
     so a single left-anchored sweep over sorted atoms is exhaustive.  Among
     maximizing windows the one with the smallest center wins.
+
+    The sweep runs on integers: the values and tau on their common grid,
+    the prefix masses over D, the lcm of the mass denominators.  Fractions
+    are made once, for the returned mass and center.
     """
     if F.dim != 1:
         raise ValueError("conc_interval requires dim=1")
@@ -78,23 +83,22 @@ def conc_interval(F: DiscreteDistribution, tau) -> ConcentrationResult:
     if t < 0:
         raise ValueError("tau must be >= 0")
     pairs = F.scalar_atoms()  # sorted ascending
-    values = [v for v, _ in pairs]
-    prefix = [Fraction(0)]
-    for _, m in pairs:
-        prefix.append(prefix[-1] + m)
-    best_mass, best_center = Fraction(0), None
+    _, (T, *values) = common_grid([t, *(v for v, _ in pairs)])
+    D, masses = common_grid(m for _, m in pairs)
+    prefix = [0, *itertools.accumulate(masses)]
+    best_mass, best_i = 0, None
     j = 0
     for i, v in enumerate(values):
-        hi = v + t
+        hi = v + T
         if j < i:
             j = i
         while j + 1 < len(values) and values[j + 1] <= hi:
             j += 1
         mass = prefix[j + 1] - prefix[i]
-        center = v + t / 2
         if mass > best_mass:
-            best_mass, best_center = mass, center
-    return ConcentrationResult(best_mass, MODE_EXACT, witness=(best_center,))
+            best_mass, best_i = mass, i
+    center = pairs[best_i][0] + t / 2
+    return ConcentrationResult(Fraction(best_mass, D), MODE_EXACT, witness=(center,))
 
 
 def empirical_window_max(samples: np.ndarray, width: float) -> tuple[float, float]:

@@ -8,13 +8,15 @@ Poisson-difference sampler).
 
 Values are tuples of Fractions of length ``dim``; masses are Fractions.
 Everything downstream (window sweeps, properness, witness searches) relies
-on the exactness of equality and ordering here.
+on the exactness of equality and ordering here.  Fractions are the API
+boundary: the law kernel puts values and masses on integer grids
+(``rational.common_grid``), computes on integers, and makes Fractions only
+for the law it returns.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +26,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import AtomCapExceeded
-from .rational import Vec, dot, format_fraction, max_norm, to_fraction, to_vec
+from .rational import Vec, common_grid, dot, format_fraction, max_norm, to_fraction, to_vec
 
 DEFAULT_ATOM_CAP = 10**6
 IntVec = tuple[int, ...]  # a value on an integer grid
@@ -316,13 +318,14 @@ def _convolution_power(law: dict[IntVec, int], k: int, atom_cap: int) -> dict[In
 def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteDistribution:
     """Exact law of sum_k X_k a_k, with X_k i.i.d. scalar with law F.
 
-    Integer kernel: every product x * c of an atom x of F and a coordinate
-    c of an entry is an integer multiple of 1/G, G the lcm of their
-    denominators, and every mass of F is an integer over D, the lcm of its
-    mass denominators.  Equal entries form one group whose law is a
-    convolution power by repeated squaring; the groups are then convolved
-    in order of first occurrence.  Fractions appear only in the returned
-    law, whose atoms are those of the iterated convolution exactly.
+    Integer kernel: the atoms x of F sit on their common grid of scale Gx,
+    the entry coordinates c on theirs of scale Gc, so every product x * c
+    is an integer on the grid of scale G = Gx * Gc, and every mass of F is
+    an integer over D, the lcm of its mass denominators.  Equal entries
+    form one group whose law is a convolution power by repeated squaring;
+    the groups are then convolved in order of first occurrence.  Fractions
+    appear only in the returned law, whose atoms are those of the iterated
+    convolution exactly.
 
     The merged support is capped to keep blow-up loud instead of slow.  It
     is checked while each product grows; every partial law is the law of a
@@ -333,12 +336,15 @@ def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = D
         raise ValueError("summand law must be one-dimensional")
     scalars = F.scalar_atoms()
     groups = [(e, mult) for e, mult in a.counts if any(e)]
-    G = math.lcm(*((x * c).denominator for e, _ in groups for c in e for x, _ in scalars))
-    D = math.lcm(*(m.denominator for _, m in scalars))
-    acc = {(0,) * a.dim: 1}
-    for e, mult in groups:
+    Gx, xs = common_grid(x for x, _ in scalars)
+    Gc, cs = common_grid(c for e, _ in groups for c in e)
+    D, ms = common_grid(m for _, m in scalars)
+    G, dim = Gx * Gc, a.dim
+    acc = {(0,) * dim: 1}
+    for i, (_, mult) in enumerate(groups):
+        e = cs[i * dim : (i + 1) * dim]
         # e != 0, so distinct atoms of F give distinct values x * e
-        law = {tuple(int(x * c * G) for c in e): int(m * D) for x, m in scalars}
+        law = {tuple(x * c for c in e): m for x, m in zip(xs, ms)}
         acc = _convolve(acc, _convolution_power(law, mult, atom_cap), atom_cap)
     total = D ** sum(mult for _, mult in groups)
     return DiscreteDistribution(

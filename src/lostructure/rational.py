@@ -3,9 +3,11 @@ integer linear algebra.
 
 All discrete laws, progressions, and witnesses in this package are kept in
 ``fractions.Fraction`` arithmetic so that "proper", "covered", and "equal"
-are decided exactly.  Square roots of rationals (vector norms, window
-formulas) are never evaluated as floats on a decision path; the helpers
-here compare against the square instead.
+are decided exactly; the hot kernels put their Fractions on one integer
+grid (``common_grid``) and compute on integers, which is just as exact.
+Square roots of rationals (vector norms, window formulas) are never
+evaluated as floats on a decision path; the helpers here compare against
+the square instead.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def format_fraction(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def common_grid(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(G, [x * G for x in xs]) with G the lcm of the denominators: the
+    values as integers on their common grid.  The exact kernels compute on
+    such grids and make Fractions only at the API boundary."""
+    xs = list(xs)
+    G = math.lcm(*(x.denominator for x in xs))
+    return G, [x.numerator * (G // x.denominator) for x in xs]
 
 
 def to_vec(entry, dim: int | None = None) -> Vec:

@@ -12,8 +12,12 @@ from lostructure.beta import (
     EXACT,
     UPPER_BOUND,
     BOUND_LEDGER_HEADER,
+    BetaResult,
     _covered_mass,
+    _grid_scan,
+    _interval_dim,
     _rank1_candidates,
+    _rank1_grid,
     _rank1_scan,
     append_bound_ledger,
     beta,
@@ -31,7 +35,7 @@ from lostructure.distributions import (
     weights_1d,
 )
 from lostructure.errors import FLAG_DEGENERATE_BETA, UnsupportedRank
-from lostructure.gap import cgap_image, interval_body, zero_cgap
+from lostructure.gap import Cgap, box_body, cgap_image, interval_body, zero_cgap
 
 
 def star(entries):
@@ -296,3 +300,145 @@ class TestBoundLedger:
         assert len(lines) == 3
         assert lines[1].startswith("a-1,2,0,1,0,")
         assert all(len(line.split(",")) == 9 for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# The integer-grid kernels against the Fraction forms they replaced.
+# ---------------------------------------------------------------------------
+
+
+def fraction_covered_mass(atoms, h, M, tau):
+    """Oracle: _covered_mass in Fraction arithmetic."""
+    miss = Fraction(0)
+    missed = []
+    for w, mass in atoms:
+        if h == 0:
+            ok = abs(w) <= tau
+        else:
+            nu = round(w / h)
+            ok = False
+            for cand in (nu - 1, nu, nu + 1):
+                c = max(-M, min(M, cand))
+                if abs(w - c * h) <= tau:
+                    ok = True
+                    break
+        if not ok:
+            miss += mass
+            missed.append((w, mass))
+    return miss, missed
+
+
+def fraction_rank1_candidates(atoms, tau, M):
+    """Oracle: _rank1_candidates in Fraction arithmetic."""
+    cand = {Fraction(0)}
+    for w, _ in atoms:
+        for nu in range(1, M + 1):
+            cand.add(abs((w + tau) / nu))
+            cand.add(abs((w - tau) / nu))
+            cand.add(abs(w / nu))
+    return sorted(cand)
+
+
+def fraction_rank1_scan(atoms, tau, M):
+    """Oracle: the first candidate with the least miss, all in Fractions."""
+    best = None
+    cands = fraction_rank1_candidates(atoms, tau, M)
+    for h in cands:
+        miss, missed = fraction_covered_mass(atoms, h, M, tau)
+        if best is None or miss < best[0]:
+            best = (miss, h, missed)
+    return best[0], best[1], best[2], len(cands)
+
+
+def fraction_beta_rank2(W, tau, m):
+    """Oracle: the rank-2 beam with every scan in Fractions."""
+    atoms = W.scalar_atoms()
+    searched = 0
+    best = None
+    M_max = (m - 1) // 2
+    for M1 in range(0, M_max + 1):
+        M2_cap = (m // (2 * M1 + 1) - 1) // 2
+        _, h1, missed, s1 = fraction_rank1_scan(atoms, tau, M1)
+        searched += s1
+        for M2 in range(0, M2_cap + 1):
+            h2_pool = {Fraction(0)}
+            if missed:
+                _, h2_best, _, s2 = fraction_rank1_scan(missed, tau, M2)
+                searched += s2
+                h2_pool.add(h2_best)
+            for h2 in sorted(h2_pool):
+                witness = Cgap(2, (h1, h2), box_body([_interval_dim(M1), _interval_dim(M2)]))
+                val = mass_outside(W, cgap_image(witness), tau)
+                key = (val, abs(h1) + abs(h2), (h1, h2))
+                if best is None or key < best[0]:
+                    best = (key, witness)
+    key, witness = best
+    return BetaResult(key[0], witness, UPPER_BOUND, searched)
+
+
+# tau off the atoms' grid (denominators 5, 7), on it, and zero
+grid_taus = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 7), Fraction(5, 2)])
+probe_hs = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5])),
+    st.builds(lambda k, d: Fraction(float(Fraction(k, d))), st.integers(-30, 30), st.sampled_from([3, 7, 10])),
+)
+
+
+class TestCoveredMassOracle:
+    @given(scan_atoms(), probe_hs, st.integers(0, 5), grid_taus)
+    @example([(Fraction(1), Fraction(1)), (Fraction(-3), Fraction(2))], Fraction(0), 2, Fraction(1))
+    @example([(Fraction(5, 2), Fraction(1)), (Fraction(-5, 2), Fraction(1))], Fraction(-1), 2, Fraction(1, 2))
+    @example([(Fraction(7, 3), Fraction(1)), (Fraction(-7, 3), Fraction(2))], Fraction(-2, 3), 3, Fraction(1, 3))
+    @example([(Fraction(4), Fraction(1)), (Fraction(1, 2), Fraction(3))], Fraction(float(Fraction(1, 3))), 4, Fraction(1, 2))
+    @example([(Fraction(2), Fraction(1)), (Fraction(-2), Fraction(1))], Fraction(3), 0, Fraction(2))
+    @example([], Fraction(1, 2), 3, Fraction(1, 2))
+    def test_matches_fraction_form(self, atoms, h, M, tau):
+        got = _covered_mass(atoms, h, M, tau)
+        assert got == fraction_covered_mass(atoms, h, M, tau)
+        assert isinstance(got[0], Fraction)
+
+    @pytest.mark.parametrize("h", [Fraction(2, 3), Fraction(-2, 3)])
+    def test_atom_at_exactly_tau(self, h):
+        # |2h| + tau and -(|2h| - tau) sit at distance exactly tau from
+        # +-2h, so nu = +-2 covers them; a hair further out is missed, and
+        # with M = 1 only the inner one stays within tau of +-h
+        tau = Fraction(2, 5)
+        edge = abs(2 * h)
+        atoms = [(edge + tau, Fraction(1)), (-(edge - tau), Fraction(1)), (edge + tau + Fraction(1, 35), Fraction(1))]
+        assert _covered_mass(atoms, h, 2, tau) == (Fraction(1), atoms[2:])
+        assert _covered_mass(atoms, h, 1, tau) == (Fraction(2), [atoms[0], atoms[2]])
+
+
+class TestRank1CandidatesOracle:
+    @given(scan_atoms(), grid_taus, st.integers(0, 5))
+    @example([], Fraction(1, 2), 3)
+    @example([(Fraction(3), Fraction(1))], Fraction(2, 5), 0)
+    @example([(Fraction(-7, 2), Fraction(1)), (Fraction(5, 3), Fraction(2))], Fraction(3, 7), 5)
+    def test_matches_fraction_form(self, atoms, tau, M):
+        got = _rank1_candidates(atoms, tau, M)
+        assert got == fraction_rank1_candidates(atoms, tau, M)
+        assert all(isinstance(h, Fraction) for h in got)
+
+
+class TestSharedGrid:
+    """The rank-2 search scans subsets of the atoms at every M <= M_max on
+    one grid built for M_max."""
+
+    @given(scan_atoms(), grid_taus, st.integers(0, 5), st.data())
+    def test_grid_for_larger_budget_scans_the_same(self, atoms, tau, M_max, data):
+        S, T, grid = _rank1_grid(atoms, tau, M_max)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+        sub = [g for g, k in zip(grid, keep) if k]
+        sub_atoms = [g[2] for g in sub]
+        for M in range(M_max + 1):
+            miss, h, missed, searched = fraction_rank1_scan(sub_atoms, tau, M)
+            got_h, got_missed, got_searched = _grid_scan(sub, T, M, S)
+            assert (got_h, [g[2] for g in got_missed], got_searched) == (h, missed, searched)
+
+    @given(scan_atoms(), grid_taus, st.integers(1, 11))
+    @example([(Fraction(-5), Fraction(1)), (Fraction(2), Fraction(2)), (Fraction(7, 2), Fraction(1))], Fraction(2, 5), 9)
+    def test_rank2_matches_fraction_form(self, atoms, tau, m):
+        if not atoms:
+            return
+        W = AtomicMeasure(1, tuple(((w,), mass) for w, mass in atoms))
+        assert beta(W, tau, 2, m) == fraction_beta_rank2(W, tau, m)

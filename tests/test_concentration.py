@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lostructure.beta import char_increment_slack
 from lostructure.concentration import (
@@ -251,3 +253,77 @@ class TestConcentrationResult:
     def test_json(self):
         d = conc_zero(point_mass(Fraction(1, 3))).to_json_dict()
         assert d == {"value": "1", "mode": "exact", "witness": ["1/3"], "ci_halfwidth": None}
+
+
+def fraction_conc_interval(F, tau):
+    """Oracle: the window sweep in Fraction arithmetic, (mass, center)."""
+    pairs = F.scalar_atoms()
+    values = [v for v, _ in pairs]
+    prefix = [Fraction(0)]
+    for _, m in pairs:
+        prefix.append(prefix[-1] + m)
+    best_mass, best_center = Fraction(0), None
+    j = 0
+    for i, v in enumerate(values):
+        hi = v + tau
+        if j < i:
+            j = i
+        while j + 1 < len(values) and values[j + 1] <= hi:
+            j += 1
+        mass = prefix[j + 1] - prefix[i]
+        if mass > best_mass:
+            best_mass, best_center = mass, v + tau / 2
+    return best_mass, (best_center,)
+
+
+@st.composite
+def mixed_grid_laws(draw):
+    """Distinct values with denominators 1..6 and masses with mixed
+    denominators; equal weights on equally spaced values make ties."""
+    values = draw(
+        st.lists(st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6])), min_size=1, max_size=9, unique=True)
+    )
+    if draw(st.booleans()):
+        return uniform_on(values)
+    raw = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 2, 5, 7])), min_size=len(values), max_size=len(values)
+        )
+    )
+    total = sum(raw)
+    return from_scalar_atoms([(v, m / total) for v, m in zip(values, raw)])
+
+
+class TestConcIntervalOracle:
+    # tau on and off the law's grid (denominators 5, 7, 11), and zero
+    @given(
+        mixed_grid_laws(),
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2, 5), Fraction(3, 7), Fraction(13, 11), Fraction(4)]),
+    )
+    @example(point_mass(Fraction(3, 7)), Fraction(2, 5))
+    @example(uniform_on([0, 1, 2, 3]), Fraction(1))
+    @example(uniform_on([Fraction(1, 4), Fraction(2, 3), Fraction(3, 2)]), Fraction(2, 5))
+    @example(uniform_on([Fraction(-1, 3), Fraction(1, 2), Fraction(4, 3)]), Fraction(5, 6))
+    @example(from_scalar_atoms([(0, Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 6)), (1, Fraction(1, 2))]), Fraction(1, 2))
+    @example(from_scalar_atoms([(0, Fraction(1, 3)), (Fraction(2, 5), Fraction(1, 6)), (1, Fraction(1, 2))]), Fraction(3, 5))
+    def test_matches_fraction_sweep(self, F, tau):
+        res = conc_interval(F, tau)
+        assert (res.value, res.witness) == fraction_conc_interval(F, tau)
+        assert isinstance(res.value, Fraction) and isinstance(res.witness[0], Fraction)
+
+    def test_tied_windows_pick_smallest_center(self):
+        # windows [0, 1], [1, 2] and [2, 3] all hold 2/4
+        res = conc_interval(uniform_on([0, 1, 2, 3]), 1)
+        assert (res.value, res.witness) == (Fraction(1, 2), (Fraction(1, 2),))
+
+    def test_window_edge_is_closed_off_grid(self):
+        # atoms at 0 and 3/7 are exactly tau = 3/7 apart
+        F = from_scalar_atoms([(0, Fraction(1, 3)), (Fraction(3, 7), Fraction(1, 3)), (1, Fraction(1, 3))])
+        assert conc_interval(F, Fraction(3, 7)).value == Fraction(2, 3)
+        assert conc_interval(F, Fraction(2, 7)).value == Fraction(1, 3)
+        # 1/4 and 2/3 are 5/12 apart, just over tau = 2/5 = 4.8/12
+        F = uniform_on([Fraction(1, 4), Fraction(2, 3)])
+        assert conc_interval(F, Fraction(2, 5)).value == Fraction(1, 2)
+        assert conc_interval(F, Fraction(5, 12)).value == 1
+        # tau's denominator 7 shares nothing with the values' grid 1/3
+        assert conc_interval(uniform_on([0, Fraction(1, 3)]), Fraction(3, 7)).value == 1

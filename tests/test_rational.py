@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lostructure.rational import (
     coerce_real,
+    common_grid,
     dot,
     floor_ratio_sqrt,
     format_fraction,
@@ -171,3 +172,16 @@ class TestLinearAlgebra:
         assert lattice_coefficients([], (1,)) is None
         # target outside the span is refused even if the Gram system solves
         assert lattice_coefficients([(1, 0)], (0, 1)) is None
+
+
+class TestCommonGrid:
+    @given(st.lists(st.fractions(max_denominator=60), max_size=8))
+    def test_integers_on_the_lcm_grid(self, xs):
+        G, ints = common_grid(xs)
+        assert G == math.lcm(*(x.denominator for x in xs))
+        assert [Fraction(k, G) for k in ints] == xs
+
+    def test_empty_and_integers(self):
+        assert common_grid([]) == (1, [])
+        assert common_grid([Fraction(-3), 4]) == (1, [-3, 4])
+        assert common_grid(iter([Fraction(1, 6), Fraction(-3, 4)])) == (12, [2, -9])
