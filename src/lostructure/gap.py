@@ -27,6 +27,7 @@ from .errors import (
 from .rational import (
     Vec,
     coerce_real,
+    common_grid,
     dot,
     format_fraction,
     hnf_basis,
@@ -248,16 +249,13 @@ def _image_table(P: Gap, enum_cap: int):
     """Map from scaled-integer image point to the first box witness, plus
     the first collision found (None when injective on the box).
 
-    Generator coordinates are scaled to integers by the common denominator
-    so enumeration runs on int tuples.
+    Generator coordinates are put on their common grid so enumeration runs
+    on int tuples.
     """
     if vol(P) > enum_cap:
         raise EnumerationCapExceeded(f"progression volume {vol(P)} exceeds cap {enum_cap}")
-    den = 1
-    for g in P.generators:
-        for c in g:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    gens = [tuple(int(c * den) for c in g) for g in P.generators]
+    den, flat = common_grid(c for g in P.generators for c in g)
+    gens = [flat[k : k + P.dim] for k in range(0, len(flat), P.dim)]
     ranges = [range(-math.floor(L), math.floor(L) + 1) for L in P.dims]
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     collision = None

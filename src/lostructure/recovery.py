@@ -2,10 +2,13 @@
 
 Given a weight vector whose weighted sum has concentration q, the pipeline
 selects a lattice-size budget m, finds a residual-mass witness over the
-symmetrized jump measure, truncates it by the norm threshold, and produces
-three nested progression approximations with certified containments,
-properness, and generator-norm bounds.  Asymptotic schedules and a greedy
-logarithmic-rank construction reuse the same machinery.
+symmetrized jump measure, and runs one truncate-and-sandwich step twice:
+on the witness (K*, covered by bar_P) and on the box of bar_P's proper
+embedding (K**, covered by tilde_P).  The step cuts by the norm slab
+|<nu, h>| <= 2|a|/sqrt(n'), which a zero generator h makes vacuous, and
+certifies every containment, properness claim and generator-norm bound.
+Asymptotic schedules and a greedy logarithmic-rank construction reuse
+the same machinery.
 
 Everything downstream of the Monte-Carlo-free inputs is exact rational
 arithmetic; irrational thresholds (norm over root-count) are compared via
@@ -16,6 +19,7 @@ value, which provably keeps the same lattice points.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -43,7 +47,7 @@ from .gap import (
     Cgap,
     Gap,
     ProductCgap,
-    SymmetricPolytope,
+    box_body,
     cgap_image,
     coverage_count,
     dilate,
@@ -121,11 +125,17 @@ def make_params(
     """Params with q and p_val computed exactly from the instance."""
     cfg = config or RunConfig()
     params = RecoveryParams(None, tau, kappa, delta, r, n_prime, a.n, None, cfg.constants)
-    law = weighted_sum_law(F, a, cfg.atom_cap)
-    q = (conc_interval(law, params.tau) if params.tau > 0 else conc_zero(law)).value
-    arg = params.tau / params.kappa
-    p_val = tail_mass(symmetrize(F), arg)
-    return params.with_observations(q, p_val)
+    return params.with_observations(*_observe(a, F, params.tau, params.kappa, cfg.atom_cap))
+
+
+def _observe(
+    a: WeightVector, F: DiscreteDistribution, tau: Fraction, kappa: Fraction, atom_cap: int
+) -> tuple[Fraction, Fraction]:
+    """(q, p_val): the exact concentration of the weighted sum at tau (its
+    largest atom at tau = 0) and the tail mass of sym(F) at tau / kappa."""
+    law = weighted_sum_law(F, a, atom_cap)
+    q = (conc_interval(law, tau) if tau > 0 else conc_zero(law)).value
+    return q, tail_mass(symmetrize(F), tau / kappa)
 
 
 def _window_floor_sq(params: RecoveryParams) -> Fraction:
@@ -236,6 +246,17 @@ def _phi_gap(P: Gap, t_factor: Fraction, h: Sequence[Fraction]) -> Gap:
     return Gap(1, P.rank, dims, gens)
 
 
+def _truncate_and_sandwich(K: Cgap, bound_sq: Fraction, enum_cap: int) -> tuple[Cgap, Gap, int]:
+    """Cut K by the slab |<nu, h>| <= sqrt(bound_sq) (none when h = 0) and
+    sandwich the cut body.  Returns the cut K, the sandwich's progression
+    dilated by t and paired with h (a cover of the cut K's image), and t."""
+    if any(K.h):
+        vals = [dot(nu, K.h) for nu in lattice_points(K.body, None, enum_cap)]
+        K = Cgap(K.rank, K.h, K.body.with_constraint(K.h, _snap_slab_bound(vals, bound_sq)))
+    P_Z, t = mahler_sandwich(K.body, cap_t=enum_cap, enum_cap=enum_cap)
+    return K, _phi_gap(P_Z, Fraction(t), K.h), t
+
+
 def _cap_dilation(P: Gap, t: Fraction, enum_cap: int) -> Fraction:
     """Shrink the dilation until the dilated volume fits the budget."""
     while t > 1 and vol(dilate(P, t)) > enum_cap:
@@ -251,11 +272,12 @@ def recover(
 ) -> RecoveryReport:
     """Run the full truncate-sandwich-embed pipeline on one coordinate.
 
-    Produces the truncated witness K*, its progression covers bar_P
-    (possibly improper) and barbar_P (proper), the re-truncated K** and
-    its proper cover tilde_P, with every containment, properness claim,
-    and generator-norm bound re-checked by explicit enumeration.  Check
-    failures surface as flags, never silently.
+    One truncate-and-sandwich step runs twice: on the witness it gives K*
+    and its cover bar_P (properized to barbar_P); on the box of a dilated
+    proper embedding of bar_P it gives K** and its proper cover tilde_P.
+    A zero generator means no slab.  Every containment, properness claim
+    and generator-norm bound is re-checked by explicit enumeration, and
+    check failures surface as flags, never silently.
     """
     cfg = config or RunConfig()
     if a.dim != 1:
@@ -293,48 +315,15 @@ def recover(
         tilde_P = zero_gap(1)
         dilations = {"sandwich": 1, "embed": 1, "tilde_sandwich": 1}
     else:
-        K = wit.witness
-        if K.rank == 0:
-            V_star = K.body
-            K_star = K
-        else:
-            pts = lattice_points(K.body, None, cfg.enum_cap)
-            vals = [dot(nu, K.h) for nu in pts]
-            snapped = _snap_slab_bound(vals, bound_sq)
-            V_star = K.body.with_constraint(K.h, snapped)
-            K_star = Cgap(K.rank, K.h, V_star)
-
-        P_Z, t_star = mahler_sandwich(V_star, cap_t=cfg.enum_cap, enum_cap=cfg.enum_cap)
-        bar_P = _phi_gap(P_Z, Fraction(t_star), K.h)
-        dilations["sandwich"] = t_star
-
+        K_star, bar_P, dilations["sandwich"] = _truncate_and_sandwich(wit.witness, bound_sq, cfg.enum_cap)
         barbar_P = embed_proper(bar_P, 1, cfg.enum_cap).gap
         exponent = (cfg.constants.c_dilate * r) ** (1.5 * r) if r > 0 else 1.0
         t_big = max(Fraction(1), Fraction(exponent))
         t_big = _cap_dilation(bar_P, t_big, cfg.enum_cap)
         dilations["embed"] = t_big
         big = embed_proper(bar_P, t_big, cfg.enum_cap).gap
-
-        if big.rank == 0:
-            K_star_star = zero_cgap()
-            tilde_P = zero_gap(1)
-            dilations["tilde_sandwich"] = 1
-        else:
-            k = big.rank
-            gbar = tuple(g[0] for g in big.generators)
-            box = [
-                (tuple(Fraction(int(i == j)) for i in range(k)), big.dims[j])
-                for j in range(k)
-            ]
-            V_box = SymmetricPolytope(k, tuple(box))
-            box_pts = lattice_points(V_box, None, cfg.enum_cap)
-            vals2 = [dot(mm, gbar) for mm in box_pts]
-            snapped2 = _snap_slab_bound(vals2, bound_sq)
-            V_bar = V_box.with_constraint(gbar, snapped2)
-            K_star_star = Cgap(k, gbar, V_bar)
-            R_Z, t_tilde = mahler_sandwich(V_bar, cap_t=cfg.enum_cap, enum_cap=cfg.enum_cap)
-            tilde_P = _phi_gap(R_Z, Fraction(t_tilde), gbar)
-            dilations["tilde_sandwich"] = t_tilde
+        box = Cgap(big.rank, tuple(g[0] for g in big.generators), box_body(big.dims))
+        K_star_star, tilde_P, dilations["tilde_sandwich"] = _truncate_and_sandwich(box, bound_sq, cfg.enum_cap)
 
     img_star = cgap_image(K_star, cfg.enum_cap)
     img_ss = cgap_image(K_star_star, cfg.enum_cap)
@@ -445,46 +434,28 @@ def recover_multid(
     if len(per_coordinate_params) != d:
         raise ValueError("need one params entry per coordinate")
     reports: list[Optional[RecoveryReport]] = []
-    factors_star: list[Cgap] = []
-    factors_ss: list[Cgap] = []
-    bars: list[Gap] = []
-    bbars: list[Gap] = []
-    tildes: list[Gap] = []
-    flags: set[str] = set()
-    deltas: list[Fraction] = []
-    for j in range(d):
+    records = []
+    zero = (zero_cgap(), zero_cgap(), zero_gap(1), zero_gap(1), zero_gap(1))
+    for j, pj in enumerate(per_coordinate_params):
         if a.coordinate_is_zero(j):
             reports.append(None)
-            factors_star.append(zero_cgap())
-            factors_ss.append(zero_cgap())
-            bars.append(zero_gap(1))
-            bbars.append(zero_gap(1))
-            tildes.append(zero_gap(1))
-            deltas.append(per_coordinate_params[j].delta if per_coordinate_params[j] else Fraction(0))
+            records.append(zero)
             continue
-        pj = per_coordinate_params[j]
         if pj is None:
             raise ValueError(f"coordinate {j} carries weight but has no params")
         rep = recover(a.coordinate(j), F.marginal(j) if F.dim > 1 else F, pj, cfg)
         reports.append(rep)
-        factors_star.append(rep.K_star)
-        factors_ss.append(rep.K_star_star)
-        bars.append(rep.bar_P)
-        bbars.append(rep.barbar_P)
-        tildes.append(rep.tilde_P)
-        flags.update(rep.flags)
-        deltas.append(pj.delta)
+        records.append((rep.K_star, rep.K_star_star, rep.bar_P, rep.barbar_P, rep.tilde_P))
+    factors_star, factors_ss, bars, bbars, tildes = zip(*records)
+    deltas = [pj.delta if pj else Fraction(0) for pj in per_coordinate_params]
+    flags = {f for rep in reports if rep for f in rep.flags}
 
-    K_star = ProductCgap(tuple(factors_star))
-    K_ss = ProductCgap(tuple(factors_ss))
+    K_star = ProductCgap(factors_star)
+    K_ss = ProductCgap(factors_ss)
     bar_P = _product_gap(bars, d)
     barbar_P = _product_gap(bbars, d)
     tilde_P = _product_gap(tildes, d)
-    boundaries = []
-    acc = 0
-    for P in bars:
-        acc += P.rank
-        boundaries.append(acc)
+    boundaries = tuple(itertools.accumulate(P.rank for P in bars))
 
     per_images_star = [cgap_image(k, cfg.enum_cap) for k in factors_star]
     per_images_ss = [cgap_image(k, cfg.enum_cap) for k in factors_ss]
@@ -507,7 +478,7 @@ def recover_multid(
         bar_P,
         barbar_P,
         tilde_P,
-        tuple(boundaries),
+        boundaries,
         joint,
         sizes,
         tuple(sorted(flags)),
@@ -725,9 +696,7 @@ def log_rank_construct(
     d = to_fraction(delta)
     if not (0 <= d <= k) or k <= 0:
         raise ValueError("need 0 <= delta <= kappa")
-    law = weighted_sum_law(F, a, cfg.atom_cap)
-    q = (conc_interval(law, t) if t > 0 else conc_zero(law)).value
-    p_val = tail_mass(symmetrize(F), t / k)
+    q, p_val = _observe(a, F, t, k, cfg.atom_cap)
 
     weights = [(e[0], mult) for e, mult in a.counts]
     img: set[Fraction] = {Fraction(0)}

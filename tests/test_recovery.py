@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lostructure.config import RunConfig
+from lostructure.config import RunConfig, calibrated_config
 from lostructure.distributions import WeightVector, point_mass, rademacher, weights_1d
 from lostructure.errors import (
     FLAG_NO_INFORMATION,
@@ -202,6 +202,21 @@ class TestRecoverOutliers:
         for k in inst.planted["outliers"]:
             e = inst.weight.entries[k][0]
             assert min(abs(e - y) for y in img) > params.delta
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_zero_generator_witness_is_not_cut(self, r):
+        # delta = kappa leaves beta's witness at h = 0: the norm slab is
+        # vacuous there and cannot be a polytope constraint
+        cfg = calibrated_config()
+        inst = gen_planted("outliers", {"n_pad": 5948, "n_sig": 50, "n_out": 2}, seed=0)
+        base = window_params_for_outliers(inst, cfg)
+        params = dataclasses.replace(base, r=r, delta=base.kappa)
+        params = dataclasses.replace(params, n_prime=min_admissible_n_prime(params))
+        rep = recover(inst.weight, inst.law, params, cfg)
+        assert not any(rep.witness.witness.h)
+        assert rep.flags == ()
+        assert all(rep.certifications.values())
+        assert rep.coverage["K_star"] == 5998  # n minus the outliers
 
 
 class TestRecoverLargeCommensurable:
