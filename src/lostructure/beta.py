@@ -4,9 +4,9 @@ right-hand-side bound evaluators that consume it.
 beta(W, tau, r, m) searches for a convex progression of rank r and lattice
 size at most m whose closed tau-neighborhood misses as little W-mass as
 possible.  For r <= 1 the search is exact over a provably sufficient finite
-candidate set; for r = 2 a beam over candidate pairs yields a certified
-upper bound (the witness is explicit and its objective is recomputed
-exactly, only optimality is unproven).
+candidate set; for r = 2 a beam over candidate pairs, scored on an integer
+grid, yields a certified upper bound (the winner's witness is explicit and
+its objective is recomputed in Fractions; only optimality is unproven).
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def beta(W, tau, r: int, m: int, mode: str = "auto") -> BetaResult:
         witness = Cgap(1, (h,), interval_body(_interval_dim(M)))
         res = BetaResult(miss, witness, EXACT, searched)
     else:
-        res = _beta_rank2(W, atoms, t, m)
+        res = _beta_rank2(atoms, t, m)
 
     check = mass_outside(W, cgap_image(res.witness), t)
     if check != res.value:
@@ -213,33 +213,40 @@ def beta(W, tau, r: int, m: int, mode: str = "auto") -> BetaResult:
     return res
 
 
-def _beta_rank2(W, atoms, tau: Fraction, m: int) -> BetaResult:
-    searched = 0
-    best = None  # (value, sortkey, witness)
+def _pair_miss(grid, H1: int, H2: int, M1: int, M2: int, T: int) -> int:
+    """Integer mass of the grid entries farther than T from {a*H1 + b*H2 : |a| <= M1, |b| <= M2}."""
+    img = sorted({a * H1 + b * H2 for a in range(-M1, M1 + 1) for b in range(-M2, M2 + 1)})
+    return sum(mi for W, mi, _ in grid if not near(img, W, T))
+
+
+def _beta_rank2(atoms, tau: Fraction, m: int) -> BetaResult:
+    """The beam over (M1, M2, h2) pairs, each scored by _pair_miss on the scans'
+    integer grid (H = h*S, masses over D); beta re-checks the winner in Fractions."""
+    searched, best = 0, None  # best: (key, h1, h2, M1, M2)
     M_max = (m - 1) // 2
     # one grid for every scan: M1 and M2 never exceed M_max, and the
     # residual atoms are a subset of the atoms
     S, T, grid = _rank1_grid(atoms, tau, M_max)
+    D, _ = common_grid(mass for _, mass in atoms)
     for M1 in range(0, M_max + 1):
-        size1 = 2 * M1 + 1
-        M2_cap = (m // size1 - 1) // 2
         h1, missed, s1 = _grid_scan(grid, T, M1, S)
         searched += s1
-        for M2 in range(0, M2_cap + 1):
-            # beam: pair the stage-one pick with a residual re-scan
-            h2_pool = {Fraction(0)}
+        for M2 in range(0, (m // (2 * M1 + 1) - 1) // 2 + 1):
+            h2_pool = {Fraction(0)}  # beam: the stage-one pick and a residual re-scan
             if missed:
                 h2_best, _, s2 = _grid_scan(missed, T, M2, S)
                 searched += s2
                 h2_pool.add(h2_best)
             for h2 in sorted(h2_pool):
-                witness = Cgap(2, (h1, h2), box_body([_interval_dim(M1), _interval_dim(M2)]))
-                val = mass_outside(W, cgap_image(witness), tau)
-                key = (val, abs(h1) + abs(h2), (h1, h2))
+                H1, H2 = int(h1 * S), int(h2 * S)
+                # only atoms the multiples of h1 miss can be missed
+                miss = _pair_miss(missed, H1, H2, M1, M2, T)
+                key = (miss, abs(H1) + abs(H2), (H1, H2))
                 if best is None or key < best[0]:
-                    best = (key, witness)
-    key, witness = best
-    return BetaResult(key[0], witness, UPPER_BOUND, searched)
+                    best = (key, h1, h2, M1, M2)
+    (miss, _, _), h1, h2, M1, M2 = best
+    witness = Cgap(2, (h1, h2), box_body([_interval_dim(M1), _interval_dim(M2)]))
+    return BetaResult(Fraction(miss, D), witness, UPPER_BOUND, searched)
 
 
 # ---------------------------------------------------------------------------

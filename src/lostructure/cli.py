@@ -4,8 +4,9 @@ Verbs: conc, gap, beta, check-bound, recover, gen, suite, calibrate.
 Inputs are JSON files using the same schemas as the to_json_dict methods;
 outputs are JSON on stdout or at --out.  --config points at a RunConfig
 JSON (default: the calibrated constants shipped with the package).
-An input file or --params that cannot be read or parsed ends with a
-one-line message on stderr and exit code 2.
+An input file, --params or a rational flag (--tau, --t, --lam) that
+cannot be read or parsed ends with a one-line message on stderr and exit
+code 2.
 """
 
 from __future__ import annotations
@@ -51,9 +52,15 @@ def _parsing(source: str):
     input parsing only, so an error in a computation still surfaces."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         detail = " ".join(str(exc).split())
         raise _InputError(f"{source}: {type(exc).__name__}: {detail}") from exc
+
+
+def _flag(name: str, text: str) -> Fraction:
+    """The value of the rational flag `name`; malformed text is an input error."""
+    with _parsing(name):
+        return to_fraction(text)
 
 
 def _read_json(path: str) -> dict:
@@ -102,7 +109,7 @@ def _dist_sampler(F: DiscreteDistribution):
 
 def _cmd_conc(args) -> int:
     F = _load(DiscreteDistribution, args.distribution)
-    tau = to_fraction(args.tau)
+    tau = _flag("--tau", args.tau)
     if args.mode == "exact":
         if tau == 0:
             res = conc_zero(F)
@@ -132,10 +139,10 @@ def _cmd_gap(args) -> int:
     elif args.verb == "proper":
         _emit({"proper": is_proper(P, cfg.enum_cap), "size": size(P, cfg.enum_cap)}, args.out)
     elif args.verb == "dilate":
-        Q = dilate(P, to_fraction(args.t))
+        Q = dilate(P, _flag("--t", args.t))
         _emit(Q.to_json_dict(), args.out)
     elif args.verb == "embed":
-        res = embed_proper(P, to_fraction(args.t), cfg.enum_cap)
+        res = embed_proper(P, _flag("--t", args.t), cfg.enum_cap)
         _emit(
             {
                 "gap": res.gap.to_json_dict(),
@@ -149,7 +156,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_beta(args) -> int:
     W = _load(AtomicMeasure, args.measure)
-    res = beta(W, to_fraction(args.tau), args.r, args.m, mode=args.mode)
+    res = beta(W, _flag("--tau", args.tau), args.r, args.m, mode=args.mode)
     _emit(res.to_json_dict(), args.out)
     return 0
 
@@ -157,8 +164,8 @@ def _cmd_beta(args) -> int:
 def _cmd_check_bound(args) -> int:
     cfg = _load_cfg(args)
     a = _load(WeightVector, args.weights)
-    cp = CompoundPoissonSpec(a, float(Fraction(args.lam)))
-    rep = check_cp_bound(cp, to_fraction(args.tau), args.r, args.m, cfg)
+    cp = CompoundPoissonSpec(a, float(_flag("--lam", args.lam)))
+    rep = check_cp_bound(cp, _flag("--tau", args.tau), args.r, args.m, cfg)
     if args.ledger:
         append_bound_ledger(args.ledger, args.id, rep)
     _emit(rep.to_json_dict(), args.out)

@@ -402,14 +402,15 @@ def near(pts: Sequence, x, delta: Fraction) -> bool:
 
 
 def neighborhood_contains(Kimg, delta, x) -> bool:
-    """Closed max-norm test: is x within delta of the finite set Kimg?"""
-    pts = tuple(sorted(Kimg))
-    xv = x if isinstance(x, Fraction) else to_vec(x)
-    if pts and isinstance(pts[0], Fraction) and not isinstance(xv, Fraction):
-        if len(xv) != 1:
-            raise ValueError("dimension mismatch between set and point")
-        xv = xv[0]
-    return near(pts, xv, to_fraction(delta))
+    """Closed max-norm test: is x within delta of the finite set Kimg?  A
+    scalar and a 1-vector are the same point, whichever form Kimg uses."""
+    d, pts, xv = to_fraction(delta), tuple(sorted(Kimg)), to_vec(x)
+    if not pts:
+        return False
+    scalar = isinstance(pts[0], Fraction)
+    if len(xv) != (1 if scalar else len(pts[0])):
+        raise ValueError("dimension mismatch between set and point")
+    return near(pts, xv[0] if scalar else xv, d)
 
 
 def coverage_count(Kimg, delta, a: WeightVector) -> int:

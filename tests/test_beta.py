@@ -16,6 +16,7 @@ from lostructure.beta import (
     _covered_mass,
     _grid_scan,
     _interval_dim,
+    _pair_miss,
     _rank1_candidates,
     _rank1_grid,
     _rank1_scan,
@@ -442,3 +443,82 @@ class TestSharedGrid:
             return
         W = AtomicMeasure(1, tuple(((w,), mass) for w, mass in atoms))
         assert beta(W, tau, 2, m) == fraction_beta_rank2(W, tau, m)
+
+
+@st.composite
+def pair_cases(draw):
+    """(atoms, tau, h1, h2, M1, M2) with signed h1, h2 on lcm(1..4)'s grid.
+    The atoms sit on image points, one step past the box, and at tau or a
+    hair past tau from them."""
+    tau = draw(grid_taus)
+    hs = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4]))
+    h1, h2 = draw(hs), draw(hs)
+    M1, M2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    off = st.sampled_from([Fraction(0), tau, -tau, tau + Fraction(1, 7), -tau - Fraction(1, 7)])
+    pts = st.builds(lambda a, b, o: a * h1 + b * h2 + o, st.integers(-M1 - 1, M1 + 1), st.integers(-M2 - 1, M2 + 1), off)
+    values = draw(st.lists(pts, max_size=8, unique=True))
+    masses = st.builds(Fraction, st.integers(1, 3), st.sampled_from([1, 2, 7]))
+    return [(w, draw(masses)) for w in sorted(values)], tau, h1, h2, M1, M2
+
+
+def atomic(atoms):
+    return AtomicMeasure(1, tuple(((w,), mass) for w, mass in atoms))
+
+
+@st.composite
+def rank2_cases(draw):
+    """(atoms, tau, m) that reach the rank-2 beam's corners: +-w pairs of
+    equal mass (pairs tie), every atom within tau of 0 (only h2 = 0 is
+    scored), atoms on multiples of one step with tau = 0 (H2 a multiple of
+    H1, so the image points collide), the empty measure, and m in {1, 2}
+    (M_max = 0)."""
+    tau = draw(grid_taus)
+    kind = draw(st.sampled_from(("mirrored", "near_zero", "multiples", "empty")))
+    masses = st.builds(Fraction, st.integers(1, 2), st.sampled_from([1, 3]))
+    if kind == "mirrored":
+        base = draw(st.lists(st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3])), max_size=4, unique=True))
+        pairs = [(w, draw(masses)) for w in base]
+        atoms = pairs + [(-w, mass) for w, mass in pairs]
+    elif kind == "near_zero":
+        ks = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True))
+        atoms = [(w, draw(masses)) for w in sorted({tau * k / 4 for k in ks})]
+    elif kind == "multiples":
+        step = draw(st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 3])))
+        ks = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4, unique=True))
+        atoms = [(s * k * step, draw(masses)) for k in ks for s in (1, -1)]
+        tau = Fraction(0)
+    else:
+        atoms = []
+    # M1 and M2 are both positive only from m = 9 on
+    m = draw(st.integers(9, 15) if kind == "multiples" else st.one_of(st.sampled_from([1, 2]), st.integers(3, 15)))
+    return sorted(atoms), tau, m
+
+
+class TestRank2Oracle:
+    @given(rank2_cases())
+    @example(([], Fraction(1, 2), 7))
+    @example(([(Fraction(-1), Fraction(1)), (Fraction(1), Fraction(1))], Fraction(0), 1))
+    @example(([(Fraction(-2), Fraction(1)), (Fraction(3), Fraction(1))], Fraction(0), 2))
+    @example(([(Fraction(-1, 3), Fraction(1)), (Fraction(1, 4), Fraction(2))], Fraction(1, 2), 9))
+    @example(([(Fraction(k), Fraction(1)) for k in (-4, -2, 2, 4, 6)], Fraction(0), 9))
+    @example(([(Fraction(-5), Fraction(1)), (Fraction(-3), Fraction(1)), (Fraction(3), Fraction(1)), (Fraction(5), Fraction(1))], Fraction(1, 2), 5))
+    def test_matches_fraction_beam(self, case):
+        atoms, tau, m = case
+        W = atomic(atoms)
+        assert beta(W, tau, 2, m) == fraction_beta_rank2(W, tau, m)
+
+    @given(pair_cases())
+    @example(([(Fraction(2), Fraction(1)), (Fraction(-4), Fraction(1))], Fraction(0), Fraction(-2), Fraction(4), 2, 1))
+    @example(([(Fraction(7, 2), Fraction(1))], Fraction(1, 2), Fraction(3), Fraction(-1, 2), 0, 4))
+    @example(([(Fraction(6), Fraction(1)), (Fraction(7), Fraction(2))], Fraction(0), Fraction(1), Fraction(1), 3, 3))
+    @example(([], Fraction(1), Fraction(0), Fraction(0), 4, 4))
+    def test_pair_miss_matches_cgap_image(self, case):
+        """The integer miss of a pair is the Fraction mass outside its Cgap's
+        image, for signed generators; h1 and h2 have denominators dividing
+        lcm(1..4), so they are on the grid of _rank1_grid(.., 4)."""
+        atoms, tau, h1, h2, M1, M2 = case
+        S, T, grid = _rank1_grid(atoms, tau, 4)
+        D = math.lcm(*(mass.denominator for _, mass in atoms))
+        K = Cgap(2, (h1, h2), box_body([_interval_dim(M1), _interval_dim(M2)]))
+        got = _pair_miss(grid, int(h1 * S), int(h2 * S), M1, M2, T)
+        assert Fraction(got, D) == mass_outside(atomic(atoms), cgap_image(K), tau)

@@ -317,6 +317,34 @@ class TestBadInput:
         for mode in ("full", "logrank", "zero-tau", "scaled-tau"):
             self.assert_one_line_error(capsys, ["recover", inst, params, "--mode", mode], "params.json", "KeyError")
 
+    @pytest.mark.parametrize("text", ["abc", "1/0", ""])
+    def test_malformed_rational_flags(self, tmp_path, capsys, text):
+        law = three_atom_path(tmp_path)
+        measure = write_json(tmp_path, "measure.json", levy_measure_star(weights_1d([1, 2])).to_json_dict())
+        weights = write_json(tmp_path, "w.json", weights_1d([1, 1]).to_json_dict())
+        gap = write_json(tmp_path, "gap.json", {"dim": 1, "rank": 1, "dims": ["2"], "generators": [["1"]]})
+        for argv in (
+            ["conc", law, "--tau", text],
+            ["beta", measure, "--tau", text],
+            ["check-bound", weights, "--tau", text],
+            ["check-bound", weights, "--lam", text],
+            ["gap", "dilate", gap, "--t", text],
+            ["gap", "embed", gap, "--t", text],
+        ):
+            self.assert_one_line_error(capsys, argv, argv[-2] + ": ")
+
+    def test_zero_denominator_in_file(self, tmp_path, capsys):
+        measure = write_json(tmp_path, "measure.json", {"dim": 1, "atoms": [[["1"], "1/0"]]})
+        self.assert_one_line_error(capsys, ["beta", measure], "measure.json", "ZeroDivisionError")
+
+    def test_negative_tau_still_raises(self, tmp_path):
+        """A negative tau parses; beta rejects it, and that error surfaces."""
+        measure = write_json(tmp_path, "measure.json", levy_measure_star(weights_1d([1, 2])).to_json_dict())
+        weights = write_json(tmp_path, "w.json", weights_1d([1, 1]).to_json_dict())
+        for argv in (["beta", measure, "--tau=-1"], ["check-bound", weights, "--tau=-1"]):
+            with pytest.raises(ValueError, match="tau must be nonnegative"):
+                main(argv)
+
     def test_computation_errors_still_raise(self, tmp_path):
         """Only parsing is mapped to exit code 2: delta > kappa is rejected by
         the computation, and that error surfaces."""

@@ -263,6 +263,24 @@ class TestCoverage:
         assert not neighborhood_contains(img, 1, Fraction(5))
         assert not neighborhood_contains(set(), 1, Fraction(0))
 
+    def test_neighborhood_contains_one_vectors(self):
+        """A scalar point against 1-tuple points (a dim-1 ProductCgap's image)
+        and a 1-vector against scalar points are the same query; any other
+        dimension mismatch is an error."""
+        img = ProductCgap((Cgap(1, (3,), interval_body(1)),)).image()
+        assert img == {(Fraction(-3),), (Fraction(0),), (Fraction(3),)}
+        assert neighborhood_contains(img, 1, Fraction(4))
+        assert not neighborhood_contains(img, 1, Fraction(5))
+        assert neighborhood_contains({(Fraction(1),)}, 0, Fraction(1))
+        assert neighborhood_contains({(Fraction(1),)}, 0, 1)
+        assert neighborhood_contains({Fraction(1)}, 0, (Fraction(1),))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            neighborhood_contains({(Fraction(1), Fraction(2))}, 0, Fraction(1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            neighborhood_contains({Fraction(1)}, 0, (Fraction(1), Fraction(2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            neighborhood_contains({(Fraction(1), Fraction(2))}, 0, (Fraction(1), Fraction(2), Fraction(7)))
+
     def test_coverage_count(self):
         a = weights_1d([Fraction(1, 2), 2, -1])
         assert coverage_count({Fraction(0)}, 1, a) == 2
