@@ -164,7 +164,7 @@ class WeightVector:
         return WeightVector(1, tuple((e[j],) for e in self.entries))
 
     def coordinate_is_zero(self, j: int) -> bool:
-        return all(e[j] == 0 for e in self.entries)
+        return all(e[j] == 0 for e, _ in self.counts)
 
     def scale(self, factor) -> "WeightVector":
         f = to_fraction(factor)

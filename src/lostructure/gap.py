@@ -84,7 +84,7 @@ class SymmetricPolytope:
 
     rank: int
     constraints: tuple[tuple[Vec, Fraction], ...]
-    bounding_box: tuple[Fraction, ...] = dataclasses.field(default=None)
+    bounding_box: tuple[Fraction, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 0:
@@ -101,8 +101,7 @@ class SymmetricPolytope:
         object.__setattr__(self, "constraints", tuple(cons))
         if self.rank > 0 and not cons:
             raise ValueError("a positive-rank polytope needs constraints to be bounded")
-        if self.bounding_box is None:
-            object.__setattr__(self, "bounding_box", _vertex_bound(self.rank, self.constraints))
+        object.__setattr__(self, "bounding_box", _vertex_bound(self.rank, self.constraints))
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         return all(abs(dot(u, x)) <= b for u, b in self.constraints)
@@ -401,23 +400,31 @@ def near(pts: Sequence, x, delta: Fraction) -> bool:
     return False
 
 
+def _scalar_points(pts: Sequence, dim: int) -> bool:
+    """Whether the nonempty points pts are scalars (1-vectors) rather than
+    tuples; raises ValueError unless they are dim-vectors."""
+    scalar = isinstance(pts[0], Fraction)
+    if dim != (1 if scalar else len(pts[0])):
+        raise ValueError("dimension mismatch between set and point")
+    return scalar
+
+
 def neighborhood_contains(Kimg, delta, x) -> bool:
     """Closed max-norm test: is x within delta of the finite set Kimg?  A
     scalar and a 1-vector are the same point, whichever form Kimg uses."""
     d, pts, xv = to_fraction(delta), tuple(sorted(Kimg)), to_vec(x)
     if not pts:
         return False
-    scalar = isinstance(pts[0], Fraction)
-    if len(xv) != (1 if scalar else len(pts[0])):
-        raise ValueError("dimension mismatch between set and point")
-    return near(pts, xv[0] if scalar else xv, d)
+    return near(pts, xv[0] if _scalar_points(pts, len(xv)) else xv, d)
 
 
 def coverage_count(Kimg, delta, a: WeightVector) -> int:
-    """#{k : a_k within max-norm delta of Kimg}, one query per distinct a_k."""
-    d = to_fraction(delta)
-    pts = tuple(sorted(Kimg))
-    scalar = a.dim == 1 and bool(pts) and isinstance(pts[0], Fraction)
+    """#{k : a_k within max-norm delta of Kimg}, one query per distinct a_k.
+    Raises ValueError when Kimg's points and a's entries differ in dimension."""
+    d, pts = to_fraction(delta), tuple(sorted(Kimg))
+    if not pts:
+        return 0
+    scalar = _scalar_points(pts, a.dim)
     return sum(mult for e, mult in a.counts if near(pts, e[0] if scalar else e, d))
 
 
@@ -496,37 +503,22 @@ def mahler_sandwich(V: SymmetricPolytope, cap_t: float = 64.0, enum_cap: int = D
     def nsq(v):
         return sum(c * c for c in v)
 
-    pool: list[tuple[int, ...]] = []
-    seen = set()
-    for v in sorted({_canonical_sign(p) for p in nonzero}, key=lambda p: (nsq(p), p))[:8]:
-        if v not in seen:
-            pool.append(v)
-            seen.add(v)
-    for v in reduced:
-        cv = _canonical_sign(v)
-        if cv not in seen:
-            pool.append(cv)
-            seen.add(cv)
+    pool = sorted({_canonical_sign(p) for p in nonzero}, key=lambda p: (nsq(p), p))[:8]
+    pool += [v for v in dict.fromkeys(map(_canonical_sign, reduced)) if v not in pool]
 
-    def valid_basis(cand: tuple[tuple[int, ...], ...]) -> bool:
-        if rank_over_q([tuple(Fraction(c) for c in g) for g in cand]) != l:
-            return False
-        # must generate the full point lattice and sit inside rank*V
+    def valid_basis(cand: Sequence[tuple[int, ...]]) -> bool:
+        # generating the full point lattice (rank l) forces independence;
+        # every generator must also sit inside rank*V
         if any(lattice_coefficients(cand, b) is None for b in full):
             return False
         return all(V.contains_scaled(g, max(r, 1)) for g in cand)
 
-    candidates = []
-    for combo in itertools.combinations(pool, l):
-        if valid_basis(combo):
-            candidates.append(tuple(sorted(combo, key=lambda g: (nsq(g), g))))
-        if len(candidates) >= 40:
-            break
-
     def evaluate(cand):
-        gens = list(cand)
+        """(t*, -size, generators, P), ranked by its first three, or None
+        when cand does not certify within cap_t."""
+        gens = tuple(sorted(cand, key=lambda g: (nsq(g), g)))
         dims = [Fraction(_max_multiple(g, S)) if g in S else Fraction(1, 2) for g in gens]
-        dims = _shrink_dims(gens, dims, S, enum_cap)
+        dims = _shrink_dims(list(gens), dims, S, enum_cap)
         # exact minimal integer dilation via unique coefficients
         tstar = 1
         for s in nonzero:
@@ -534,52 +526,31 @@ def mahler_sandwich(V: SymmetricPolytope, cap_t: float = 64.0, enum_cap: int = D
             if coef is None:
                 return None
             for c, L in zip(coef, dims):
-                need = math.ceil(Fraction(abs(c)) / L)
-                if need > tstar:
-                    tstar = need
+                tstar = max(tstar, math.ceil(abs(c) / L))
         if tstar > cap_t:
             return None
-        P = Gap(max(r, 1), len(gens), tuple(dims), tuple(tuple(Fraction(c) for c in g) for g in gens))
-        return P, tstar
+        P = Gap(max(r, 1), l, tuple(dims), gens)
+        return tstar, -size(P, enum_cap), gens, P
 
-    best = None
-    scored = []
-    for cand in candidates:
-        res = evaluate(cand)
-        if res is not None:
-            P, tstar = res
-            scored.append((tstar, -size(P, enum_cap), P.generators, P, tstar))
-    # local swaps: perturb the current best basis by +-neighbors
-    if scored:
-        scored.sort(key=lambda x: (x[0], x[1], x[2]))
-        base = list(scored[0][3].generators)
-        base_int = [tuple(int(c) for c in g) for g in base]
-        for i in range(len(base_int)):
-            for j in range(len(base_int)):
-                if i == j:
-                    continue
-                for sgn in (1, -1):
-                    cand = list(base_int)
-                    cand[i] = _canonical_sign(tuple(a + sgn * b for a, b in zip(cand[i], cand[j])))
-                    cand_t = tuple(sorted(cand, key=lambda g: (nsq(g), g)))
-                    if len(set(cand_t)) == l and valid_basis(cand_t):
-                        res = evaluate(cand_t)
-                        if res is not None:
-                            P, tstar = res
-                            scored.append((tstar, -size(P, enum_cap), P.generators, P, tstar))
-        scored.sort(key=lambda x: (x[0], x[1], x[2]))
-        best = (scored[0][3], scored[0][4])
-    if best is None:
+    first = itertools.islice(filter(valid_basis, itertools.combinations(pool, l)), 40)
+    scored = [res for res in map(evaluate, first) if res is not None]
+    if not scored:
         raise SandwichNotFound(f"no certified sandwich within dilation cap {cap_t}")
-    P, tstar = best
-    # final certification by explicit enumeration, both directions
-    img = image(P, enum_cap)
-    img_pts = {tuple(int(c) for c in (p if isinstance(p, tuple) else (p,))) for p in img}
-    if not img_pts <= S:
+    # local swaps: perturb the first phase's winner by +-neighbors
+    base = min(scored, key=lambda res: res[:3])[2]
+    for (i, j), sgn in itertools.product(itertools.permutations(range(l), 2), (1, -1)):
+        cand = list(base)
+        cand[i] = _canonical_sign(tuple(a + sgn * b for a, b in zip(base[i], base[j])))
+        if len(set(cand)) == l and valid_basis(cand):
+            res = evaluate(cand)
+            if res is not None:
+                scored.append(res)
+    tstar, _, _, P = min(scored, key=lambda res: res[:3])
+    # final certification by explicit enumeration, both directions; the
+    # generators are integer vectors, so the image tables' keys are the points
+    if not _image_table(P, enum_cap)[1].keys() <= S:
         raise SandwichNotFound("certification failed: image escapes the body")
-    big = image(dilate(P, tstar), enum_cap)
-    big_pts = {tuple(int(c) for c in (p if isinstance(p, tuple) else (p,))) for p in big}
-    if not S <= big_pts:
+    if not S <= _image_table(dilate(P, tstar), enum_cap)[1].keys():
         raise SandwichNotFound("certification failed: dilation does not cover the lattice points")
     return P, tstar
 

@@ -54,7 +54,6 @@ from .gap import (
     embed_proper,
     image,
     is_proper,
-    lattice_points,
     mahler_sandwich,
     near,
     vol,
@@ -251,8 +250,7 @@ def _truncate_and_sandwich(K: Cgap, bound_sq: Fraction, enum_cap: int) -> tuple[
     sandwich the cut body.  Returns the cut K, the sandwich's progression
     dilated by t and paired with h (a cover of the cut K's image), and t."""
     if any(K.h):
-        vals = [dot(nu, K.h) for nu in lattice_points(K.body, None, enum_cap)]
-        K = Cgap(K.rank, K.h, K.body.with_constraint(K.h, _snap_slab_bound(vals, bound_sq)))
+        K = Cgap(K.rank, K.h, K.body.with_constraint(K.h, _snap_slab_bound(cgap_image(K, enum_cap), bound_sq)))
     P_Z, t = mahler_sandwich(K.body, cap_t=enum_cap, enum_cap=enum_cap)
     return K, _phi_gap(P_Z, Fraction(t), K.h), t
 

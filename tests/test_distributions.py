@@ -109,6 +109,11 @@ class TestWeightVector:
         assert not a.coordinate_is_zero(0)
         assert not a.coordinate_is_zero(1)
 
+    def test_coordinate_is_zero(self):
+        a = WeightVector(2, ((1, 0), (-2, 0), (1, 0)))
+        assert a.coordinate_is_zero(1)
+        assert not a.coordinate_is_zero(0)
+
     def test_sorted_abs_desc(self):
         assert weights_1d([1, -3, 2]).sorted_abs_desc() == [3, 2, 1]
 

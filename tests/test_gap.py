@@ -6,6 +6,7 @@ different objects unless their triples match, and several tests rely on
 that to pin down what an operation returned.
 """
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -15,8 +16,11 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from lostructure.errors import EnumerationCapExceeded, UnsupportedRank
+from lostructure.errors import EnumerationCapExceeded, LostructureError, SandwichNotFound, UnsupportedRank
 from lostructure.gap import (
+    _canonical_sign,
+    _max_multiple,
+    _shrink_dims,
     Cgap,
     EmbeddingResult,
     Gap,
@@ -42,8 +46,8 @@ from lostructure.gap import (
     zero_cgap,
     zero_gap,
 )
-from lostructure.distributions import weights_1d
-from lostructure.rational import to_fraction
+from lostructure.distributions import WeightVector, weights_1d
+from lostructure.rational import hnf_basis, lattice_coefficients, rank_over_q, reduce_basis, to_fraction
 from strategies import coords, repeated_weight_vectors, vectors
 
 rationals = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(9, 2)).filter(lambda x: x > 0)
@@ -203,6 +207,11 @@ class TestLatticePoints:
         with pytest.raises(EnumerationCapExceeded):
             lattice_points(box_body([1000, 1000]), enum_cap=100)
 
+    def test_bounding_box_is_derived(self):
+        with pytest.raises(TypeError):
+            SymmetricPolytope(1, (((1,), 5),), bounding_box=(1,))
+        assert len(lattice_points(SymmetricPolytope(1, (((1,), 5),)))) == 11
+
     def test_polytope_json_round_trip(self):
         V = SymmetricPolytope(2, (((1, Fraction(1, 2)), 2), ((0, 1), 3)))
         assert SymmetricPolytope.from_json_dict(V.to_json_dict()) == V
@@ -293,6 +302,18 @@ class TestCoverage:
         a = WeightVector(2, ((1, 1), (5, 0)))
         assert coverage_count({(Fraction(1), Fraction(1))}, 0, a) == 1
 
+    def test_coverage_count_dimension_mismatch(self):
+        """1-D weights count against scalar or 1-tuple points, and any set
+        counts nothing when empty; every other mismatch is an error."""
+        one, two = weights_1d([1, 4]), WeightVector(2, ((1, 7),))
+        assert coverage_count({(Fraction(1),)}, 0, one) == 1
+        assert coverage_count(ProductCgap((Cgap(1, (3,), interval_body(1)),)).image(), 1, one) == 2
+        assert coverage_count(set(), 1, one) == 0
+        assert coverage_count(set(), 1, two) == 0
+        for img, a in [({(1, 7)}, one), ({(Fraction(1),)}, two), ({Fraction(1)}, two)]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                coverage_count(img, 0, a)
+
     @given(st.one_of(_scalar_case, _pair_case), _deltas)
     @example((frozenset(), Fraction(0)), Fraction(1))
     @example((frozenset({Fraction(0), Fraction(3)}), Fraction(4)), Fraction(1))
@@ -358,6 +379,161 @@ class TestMahlerSandwich:
         P, t = mahler_sandwich(interval_body(Fraction(7, 2)))
         assert t == 1
         assert image(P) == {Fraction(k) for k in range(-3, 4)}
+
+    def test_dilation_cap(self):
+        V = SymmetricPolytope(2, (((1, 0), 4), ((1, -2), 1)))
+        assert mahler_sandwich(V)[1] == 2
+        with pytest.raises(SandwichNotFound, match="no certified sandwich within dilation cap 1"):
+            mahler_sandwich(V, cap_t=1)
+
+
+def reference_sandwich(V: SymmetricPolytope, cap_t: float = 64.0, enum_cap: int = 10**6):
+    """mahler_sandwich as it scored its candidates in two sorted lists and
+    certified on Fraction images (oracle)."""
+    r = V.rank
+    if r > 3:
+        raise UnsupportedRank("sandwich search implemented for rank <= 3")
+    pts = lattice_points(V, None, enum_cap)
+    S = set(pts)
+    nonzero = [p for p in pts if any(p)]
+    if not nonzero:
+        return Gap(max(r, 1), 0, (), ()), 1
+    full = hnf_basis(nonzero, r)
+    l = len(full)
+    reduced = reduce_basis(full)
+
+    def nsq(v):
+        return sum(c * c for c in v)
+
+    pool: list[tuple[int, ...]] = []
+    seen = set()
+    for v in sorted({_canonical_sign(p) for p in nonzero}, key=lambda p: (nsq(p), p))[:8]:
+        if v not in seen:
+            pool.append(v)
+            seen.add(v)
+    for v in reduced:
+        cv = _canonical_sign(v)
+        if cv not in seen:
+            pool.append(cv)
+            seen.add(cv)
+
+    def valid_basis(cand):
+        if rank_over_q([tuple(Fraction(c) for c in g) for g in cand]) != l:
+            return False
+        if any(lattice_coefficients(cand, b) is None for b in full):
+            return False
+        return all(V.contains_scaled(g, max(r, 1)) for g in cand)
+
+    candidates = []
+    for combo in itertools.combinations(pool, l):
+        if valid_basis(combo):
+            candidates.append(tuple(sorted(combo, key=lambda g: (nsq(g), g))))
+        if len(candidates) >= 40:
+            break
+
+    def evaluate(cand):
+        gens = list(cand)
+        dims = [Fraction(_max_multiple(g, S)) if g in S else Fraction(1, 2) for g in gens]
+        dims = _shrink_dims(gens, dims, S, enum_cap)
+        tstar = 1
+        for s in nonzero:
+            coef = lattice_coefficients(gens, s)
+            if coef is None:
+                return None
+            for c, L in zip(coef, dims):
+                need = math.ceil(Fraction(abs(c)) / L)
+                if need > tstar:
+                    tstar = need
+        if tstar > cap_t:
+            return None
+        P = Gap(max(r, 1), len(gens), tuple(dims), tuple(tuple(Fraction(c) for c in g) for g in gens))
+        return P, tstar
+
+    best = None
+    scored = []
+    for cand in candidates:
+        res = evaluate(cand)
+        if res is not None:
+            P, tstar = res
+            scored.append((tstar, -size(P, enum_cap), P.generators, P, tstar))
+    if scored:
+        scored.sort(key=lambda x: (x[0], x[1], x[2]))
+        base_int = [tuple(int(c) for c in g) for g in scored[0][3].generators]
+        for i in range(len(base_int)):
+            for j in range(len(base_int)):
+                if i == j:
+                    continue
+                for sgn in (1, -1):
+                    cand = list(base_int)
+                    cand[i] = _canonical_sign(tuple(a + sgn * b for a, b in zip(cand[i], cand[j])))
+                    cand_t = tuple(sorted(cand, key=lambda g: (nsq(g), g)))
+                    if len(set(cand_t)) == l and valid_basis(cand_t):
+                        res = evaluate(cand_t)
+                        if res is not None:
+                            P, tstar = res
+                            scored.append((tstar, -size(P, enum_cap), P.generators, P, tstar))
+        scored.sort(key=lambda x: (x[0], x[1], x[2]))
+        best = (scored[0][3], scored[0][4])
+    if best is None:
+        raise SandwichNotFound(f"no certified sandwich within dilation cap {cap_t}")
+    P, tstar = best
+    img_pts = {tuple(int(c) for c in (p if isinstance(p, tuple) else (p,))) for p in image(P, enum_cap)}
+    if not img_pts <= S:
+        raise SandwichNotFound("certification failed: image escapes the body")
+    big_pts = {tuple(int(c) for c in (p if isinstance(p, tuple) else (p,))) for p in image(dilate(P, tstar), enum_cap)}
+    if not S <= big_pts:
+        raise SandwichNotFound("certification failed: dilation does not cover the lattice points")
+    return P, tstar
+
+
+@st.composite
+def sandwich_bodies(draw):
+    """A unit-normal box of half-widths k/2 at rank 1-3, cut by up to three
+    constraints with small integer normals."""
+    r = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 12 if r < 3 else 5), min_size=r, max_size=r))
+    cons = [(tuple(int(i == j) for i in range(r)), Fraction(k, 2)) for j, k in enumerate(widths)]
+    normals = st.tuples(*[st.integers(-3, 3)] * r).filter(any)
+    bounds = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+    cons += draw(st.lists(st.tuples(normals, bounds), max_size=3))
+    return SymmetricPolytope(r, tuple(cons))
+
+
+def sandwich_outcome(search, V, cap_t):
+    """The JSON form of (P, t*), or the error's type and message."""
+    try:
+        P, t = search(V, cap_t=cap_t, enum_cap=10**5)
+    except LostructureError as err:
+        return type(err), str(err)
+    return P.to_json_dict(), t
+
+
+class TestSandwichReference:
+    @given(sandwich_bodies(), st.sampled_from([1, 2, 4, 16, 64]))
+    @example(SymmetricPolytope(2, (((1, 0), 4), ((1, -2), 1))), 1)
+    @example(SymmetricPolytope(2, (((1, 0), 4), ((1, -2), 1))), 64)
+    @example(
+        SymmetricPolytope(2, (((1, 0), Fraction(5, 2)), ((0, 1), 4), ((-1, -3), 6), ((-3, -2), Fraction(5, 2)))),
+        64,
+    )
+    @example(
+        SymmetricPolytope(
+            3,
+            (
+                ((1, 0, 0), Fraction(5, 2)),
+                ((0, 1, 0), 1),
+                ((0, 0, 1), Fraction(5, 2)),
+                ((-1, -3, 0), 4),
+                ((-2, -2, 3), Fraction(7, 3)),
+            ),
+        ),
+        4,
+    )
+    def test_matches_reference(self, V, cap_t):
+        """Pinned examples: the slab whose t* = 2, past and inside the cap; a
+        body whose winner is decided by size among equal t*; and one whose
+        result depends on the 40th valid basis of the first phase."""
+        assert sandwich_outcome(mahler_sandwich, V, cap_t) == sandwich_outcome(reference_sandwich, V, cap_t)
 
 
 class TestEmbedProper:
