@@ -31,7 +31,7 @@ from .distributions import (
     WeightVector,
 )
 from .gap import Cgap, Gap, SymmetricPolytope, dilate, image, is_proper, mahler_sandwich, embed_proper, size
-from .harness import SUITES, calibrate, gen_planted, report_csv, run_suite
+from .harness import KINDS, SUITES, calibrate, gen_planted, report_csv, run_suite
 from .rational import format_fraction, to_fraction
 from .recovery import (
     RecoveryParams,
@@ -245,7 +245,9 @@ def _cmd_recover(args) -> int:
 
 def _cmd_gen(args) -> int:
     with _parsing("--params"):
-        params = json.loads(args.params) if args.params else None
+        params = json.loads(args.params or "{}")
+        if not isinstance(params, dict):
+            raise TypeError(f"expected a JSON object, got {type(params).__name__}")
     inst = gen_planted(args.kind, params, args.seed)
     _emit(inst.to_json_dict(), args.out)
     return 0
@@ -333,7 +335,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser("gen", help="generate a planted instance")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--params", default=None, help="JSON object literal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

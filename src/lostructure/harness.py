@@ -11,6 +11,11 @@ lower estimate assembled from independent blocks (a pad block whose partial
 sums stay inside a quarter window with probability one, a small signal block
 whose center mass is an exact binomial sum, and an even outlier block), which
 is sound because the window hypotheses only ever use q from below.
+
+A suite is a generator over its cases: it yields (id, reason, rows) per
+case, where reason is None on a pass and rows are the case's CSV fields
+past suite and id, and it returns its calibration dict.  `run_suite` alone
+turns those cases into a SuiteReport.
 """
 
 from __future__ import annotations
@@ -20,14 +25,16 @@ import json
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from .beta import BoundReport, _covered_mass, append_csv, beta, check_cp_bound
 from .concentration import conc_interval, esseen_upper, reduction_pair, regularity_factor
-from .config import CONSTANT_NAMES, Constants, RunConfig
+from .config import Constants, RunConfig
 from .distributions import (
+    AtomicMeasure,
+    CompoundPoissonSpec,
     DiscreteDistribution,
     WeightVector,
     from_scalar_atoms,
@@ -49,15 +56,7 @@ from .recovery import (
     select_m,
 )
 
-SUITES = (
-    "regularity",
-    "ratio_stability",
-    "beta_oracle",
-    "gap_laws",
-    "recovery",
-    "product_recovery",
-    "log_rank",
-)
+KINDS = ("ap", "gap2", "outliers", "dense_random", "product_d")
 
 CSV_HEADER = "suite,id,n,d,r,m,tau,kappa,delta,lhs,rhs,slack,coverage,flags"
 
@@ -207,7 +206,7 @@ def gen_planted(kind: str, params: Optional[dict] = None, seed: int = 0) -> Inst
             planted,
             seed,
         )
-    raise ValueError(f"unknown instance kind {kind!r}")
+    raise ValueError(f"unknown instance kind {kind!r}; known: {', '.join(KINDS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +233,6 @@ class SuiteReport:
         }
 
 
-def _finish(suite: str, results: list, calibration: dict, rows: list) -> SuiteReport:
-    failures = tuple((i, r) for i, r in results if r is not None)
-    return SuiteReport(
-        suite, len(results), len(results) - len(failures), failures, calibration, tuple(rows)
-    )
-
-
 def _fmt(x) -> str:
     if x is None or x == "":
         return ""
@@ -260,75 +252,62 @@ def _row(suite, id, **kw) -> dict:
     return base
 
 
-def _rows_of(report, suite: str = "", id: str = "") -> list:
-    if isinstance(report, dict):
-        return [report]
-    if isinstance(report, SuiteReport):
-        return list(report.rows)
+def _fields(report) -> dict:
+    """The CSV fields past suite and id of a bound, recovery or log-rank report."""
     if isinstance(report, BoundReport):
         p = report.params
-        return [
-            _row(
-                suite,
-                id,
-                n=p.get("n", ""),
-                r=p.get("r", ""),
-                m=p.get("m", ""),
-                tau=p.get("tau", ""),
-                lhs=float(report.lhs.value),
-                rhs=report.rhs,
-                slack=report.slack,
-                flags=list(report.flags),
-            )
-        ]
+        return dict(
+            n=p.get("n", ""),
+            r=p.get("r", ""),
+            m=p.get("m", ""),
+            tau=p.get("tau", ""),
+            lhs=float(report.lhs.value),
+            rhs=report.rhs,
+            slack=report.slack,
+            flags=list(report.flags),
+        )
     if isinstance(report, RecoveryReport):
         pr = report.params
-        return [
-            _row(
-                suite,
-                id,
-                n=pr.n,
-                d=1,
-                r=pr.r,
-                m=report.m,
-                tau=pr.tau,
-                kappa=pr.kappa,
-                delta=pr.delta,
-                lhs=pr.q,
-                coverage=report.coverage["K_star"],
-                flags=list(report.flags),
-            )
-        ]
+        return dict(
+            n=pr.n,
+            d=1,
+            r=pr.r,
+            m=report.m,
+            tau=pr.tau,
+            kappa=pr.kappa,
+            delta=pr.delta,
+            lhs=pr.q,
+            coverage=report.coverage["K_star"],
+            flags=list(report.flags),
+        )
     if isinstance(report, LogRankReport):
-        return [
-            _row(
-                suite,
-                id,
-                n=report.coverage + report.n_prime,
-                d=1,
-                r=report.r,
-                lhs=report.q,
-                rhs=report.rank_bound,
-                coverage=report.coverage,
-            )
-        ]
+        return dict(
+            n=report.coverage + report.n_prime,
+            d=1,
+            r=report.r,
+            lhs=report.q,
+            rhs=report.rank_bound,
+            coverage=report.coverage,
+        )
     raise TypeError(f"cannot render {type(report).__name__} as CSV rows")
 
 
 def report_csv(reports: Sequence, path: str) -> str:
     """Append rows for the given reports against the stable schema.
 
-    Accepts row dicts, SuiteReports, or (suite, id, report) triples for
+    Accepts SuiteReports, or (suite, id, report) triples for
     bound/recovery/log-rank reports.  Rows are sorted by (suite, id); the
     header is written once when the file is new.  No timestamps anywhere,
     so identical inputs yield identical rows.
     """
     rows = []
     for item in reports:
-        if isinstance(item, tuple) and len(item) == 3 and isinstance(item[0], str):
-            rows.extend(_rows_of(item[2], item[0], item[1]))
+        if isinstance(item, SuiteReport):
+            rows.extend(item.rows)
+        elif isinstance(item, tuple) and len(item) == 3 and isinstance(item[0], str):
+            rows.append(_row(item[0], item[1], **_fields(item[2])))
         else:
-            rows.extend(_rows_of(item))
+            raise TypeError(f"cannot render {type(item).__name__} as CSV rows")
     cols = CSV_HEADER.split(",")
     ordered = sorted(rows, key=lambda r: (str(r.get("suite", "")), str(r.get("id", ""))))
     append_csv(path, CSV_HEADER, [",".join(_fmt(r.get(c, "")) for c in cols) for r in ordered])
@@ -414,6 +393,9 @@ def product_coordinate_params(inst: Instance, j: int, cfg: RunConfig) -> Recover
 # ---------------------------------------------------------------------------
 
 
+Cases = Generator[tuple, None, dict]
+
+
 def _random_distribution(rng: random.Random) -> DiscreteDistribution:
     npts = rng.randint(2, 5)
     vals = set()
@@ -424,10 +406,9 @@ def _random_distribution(rng: random.Random) -> DiscreteDistribution:
     return from_scalar_atoms([(v, Fraction(w, tot)) for v, w in zip(sorted(vals), weights)])
 
 
-def _suite_regularity(cfg: RunConfig) -> SuiteReport:
+def _suite_regularity(cfg: RunConfig) -> Cases:
     rng = random.Random(cfg.seed + 11)
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
-    results, rows = [], []
     worst = 0.0
     for i in range(200):
         F = _random_distribution(rng)
@@ -441,17 +422,10 @@ def _suite_regularity(cfg: RunConfig) -> SuiteReport:
                 worst = max(worst, float(lhs / rhs))
             if reason:
                 break
-        results.append((f"reg-{i}", reason))
-        rows.append(
-            _row(
-                "regularity",
-                f"reg-{i}",
-                n=F.support_size,
-                d=1,
-                flags=[] if reason is None else ["FAIL"],
-            )
-        )
-    return _finish("regularity", results, {"max_ratio_to_bound": worst}, rows)
+        yield f"reg-{i}", reason, [
+            dict(n=F.support_size, d=1, flags=[] if reason is None else ["FAIL"])
+        ]
+    return {"max_ratio_to_bound": worst}
 
 
 def _ratio_points(cfg: RunConfig, seed: int) -> list:
@@ -462,8 +436,7 @@ def _ratio_points(cfg: RunConfig, seed: int) -> list:
     return pts
 
 
-def _suite_ratio_stability(cfg: RunConfig) -> SuiteReport:
-    results, rows = [], []
+def _suite_ratio_stability(cfg: RunConfig) -> Cases:
     slopes, ratios_all = [], []
     for s in range(3):
         pts = _ratio_points(cfg, cfg.seed + 101 + s)
@@ -472,11 +445,8 @@ def _suite_ratio_stability(cfg: RunConfig) -> SuiteReport:
         slope = float(np.polyfit(xs, ys, 1)[0])
         slopes.append(slope)
         ratios_all.extend(r for _, r in pts)
-        results.append((f"seed-{s}", None))
-        rows.append(
-            _row(
-                "ratio_stability",
-                f"seed-{s}",
+        yield f"seed-{s}", None, [
+            dict(
                 n=64,
                 d=1,
                 tau=Fraction(1),
@@ -484,24 +454,15 @@ def _suite_ratio_stability(cfg: RunConfig) -> SuiteReport:
                 lhs=pts[-1][1],
                 slack=slope,
             )
-        )
+        ]
     avg = sum(slopes) / len(slopes)
     agg_fail = None if avg <= 0.1 else f"mean log-log slope {avg:.4f} exceeds 0.1"
-    results.append(("aggregate", agg_fail))
-    rows.append(
-        _row(
-            "ratio_stability",
-            "aggregate",
-            slack=avg,
-            flags=[] if agg_fail is None else ["FAIL"],
-        )
-    )
-    calibration = {
+    yield "aggregate", agg_fail, [dict(slack=avg, flags=[] if agg_fail is None else ["FAIL"])]
+    return {
         "mean_slope": avg,
         "max_ratio": max(ratios_all),
         "suggested_c_sum": max(1.0, max(ratios_all)),
     }
-    return _finish("ratio_stability", results, calibration, rows)
 
 
 def _probe_miss_mass(vals, masses, tau: float, M: int, hs) -> np.ndarray:
@@ -515,11 +476,8 @@ def _probe_miss_mass(vals, masses, tau: float, M: int, hs) -> np.ndarray:
     return np.where(best > tau + 1e-9, masses[None, :], 0.0).sum(axis=1)
 
 
-def _suite_beta_oracle(cfg: RunConfig) -> SuiteReport:
-    from .distributions import AtomicMeasure
-
+def _suite_beta_oracle(cfg: RunConfig) -> Cases:
     rng = random.Random(cfg.seed + 23)
-    results, rows = [], []
     for i in range(200):
         natoms = rng.randint(4, 8)
         pts = set()
@@ -541,11 +499,8 @@ def _suite_beta_oracle(cfg: RunConfig) -> SuiteReport:
             if _covered_mass(atoms, Fraction(float(hs[j])), M, tau)[0] < res.value:
                 reason = f"probe h={float(hs[j])} beats the candidate optimum"
                 break
-        results.append((f"beta-{i}", reason))
-        rows.append(
-            _row(
-                "beta_oracle",
-                f"beta-{i}",
+        yield f"beta-{i}", reason, [
+            dict(
                 n=natoms,
                 d=1,
                 r=1,
@@ -554,20 +509,19 @@ def _suite_beta_oracle(cfg: RunConfig) -> SuiteReport:
                 lhs=res.value,
                 flags=[] if reason is None else ["FAIL"],
             )
-        )
-    return _finish("beta_oracle", results, {}, rows)
+        ]
+    return {}
 
 
-def _random_gap(rng: random.Random, max_rank: int = 3) -> Gap:
-    r = rng.randint(0, max_rank)
+def _random_gap(rng: random.Random) -> Gap:
+    r = rng.randint(0, 3)
     dims = tuple(Fraction(rng.choice((1, 2, 3, 4, 5, 6)), 2) for _ in range(r))
     gens = tuple((Fraction(rng.randint(-12, 12), rng.randint(1, 4)),) for _ in range(r))
     return Gap(1, r, dims, gens)
 
 
-def _suite_gap_laws(cfg: RunConfig) -> SuiteReport:
+def _suite_gap_laws(cfg: RunConfig) -> Cases:
     rng = random.Random(cfg.seed + 37)
-    results, rows = [], []
     for i in range(500):
         P = _random_gap(rng)
         s, v, proper = size(P), vol(P), is_proper(P)
@@ -576,39 +530,24 @@ def _suite_gap_laws(cfg: RunConfig) -> SuiteReport:
             reason = "size exceeds volume"
         elif (s == v) != proper:
             reason = "properness does not match size == volume"
-        results.append((f"gapvol-{i}", reason))
-        if i < 40:
-            rows.append(
-                _row(
-                    "gap_laws",
-                    f"gapvol-{i}",
-                    r=P.rank,
-                    lhs=s,
-                    rhs=v,
-                    flags=[] if reason is None else ["FAIL"],
-                )
-            )
+        flags = [] if reason is None else ["FAIL"]
+        yield f"gapvol-{i}", reason, [dict(r=P.rank, lhs=s, rhs=v, flags=flags)] if i < 40 else []
     for i in range(200):
         P = _random_gap(rng)
         t = Fraction(rng.choice((1, 2, 3, 4, 6)), 2)
         Q = dilate(P, t)
-        results.append(
-            (
-                f"dilate-{i}",
-                None if size(Q) <= vol(Q) else "dilated size exceeds dilated volume",
-            )
-        )
+        reason = None if size(Q) <= vol(Q) else "dilated size exceeds dilated volume"
+        yield f"dilate-{i}", reason, []
     for i in range(1000):
         t = Fraction(rng.randint(1, 80), rng.randint(1, 20))
         L = Fraction(rng.randint(1, 80), rng.randint(1, 20))
         lhs = math.floor(2 * t * L) + 1
         rhs = (2 * t + 1) * (math.floor(2 * L) + 1)
-        results.append((f"ident-{i}", None if lhs <= rhs else f"identity fails at t={t}, L={L}"))
-    return _finish("gap_laws", results, {}, rows)
+        yield f"ident-{i}", None if lhs <= rhs else f"identity fails at t={t}, L={L}", []
+    return {}
 
 
-def _suite_recovery(cfg: RunConfig) -> SuiteReport:
-    results, rows = [], []
+def _suite_recovery(cfg: RunConfig) -> Cases:
     cal = {
         "max_sandwich_dilation": 1.0,
         "max_size_ratio_bar": 0.0,
@@ -644,16 +583,15 @@ def _suite_recovery(cfg: RunConfig) -> SuiteReport:
                 ("tilde_P", "max_size_ratio_tilde"),
             ):
                 cal[name] = max(cal[name], rep.sizes[key] / rep.m)
-            rows.extend(_rows_of(rep, "recovery", inst.id))
+            rows = [_fields(rep)]
         except LostructureError as exc:  # suites record the package's own errors
             reason = f"{type(exc).__name__}: {exc}"
-            rows.append(_row("recovery", inst.id, flags=["ERROR"]))
-        results.append((inst.id, reason))
-    return _finish("recovery", results, cal, rows)
+            rows = [dict(flags=["ERROR"])]
+        yield inst.id, reason, rows
+    return cal
 
 
-def _suite_product_recovery(cfg: RunConfig) -> SuiteReport:
-    results, rows = [], []
+def _suite_product_recovery(cfg: RunConfig) -> Cases:
     for i in range(12):
         inst = gen_planted(
             "product_d", {"d": 2, "n_pad": 11950, "n_sig": 48, "n_out": 2}, seed=cfg.seed + i
@@ -679,25 +617,22 @@ def _suite_product_recovery(cfg: RunConfig) -> SuiteReport:
                     reason = "product size is not multiplicative"
                 elif sum(r2.bar_P.rank for r2 in rep.reports if r2 is not None) != rep.bar_P.rank:
                     reason = "product rank is not additive"
-            rows.append(
-                _row(
-                    "product_recovery",
-                    inst.id,
+            rows = [
+                dict(
                     n=n,
                     d=2,
                     coverage=rep.joint_coverage["K_star"],
                     flags=list(rep.flags) if reason is None else list(rep.flags) + ["FAIL"],
                 )
-            )
+            ]
         except LostructureError as exc:
             reason = f"{type(exc).__name__}: {exc}"
-            rows.append(_row("product_recovery", inst.id, flags=["ERROR"]))
-        results.append((inst.id, reason))
-    return _finish("product_recovery", results, {}, rows)
+            rows = [dict(flags=["ERROR"])]
+        yield inst.id, reason, rows
+    return {}
 
 
-def _suite_log_rank(cfg: RunConfig) -> SuiteReport:
-    results, rows = [], []
+def _suite_log_rank(cfg: RunConfig) -> Cases:
     worst_c = 0.0
     for i in range(20):
         inst = gen_planted("gap2", {"copies": 5}, seed=cfg.seed + i)
@@ -714,12 +649,12 @@ def _suite_log_rank(cfg: RunConfig) -> SuiteReport:
             worst_c = max(worst_c, rep.r / core)
             if rep.p_val > 0:
                 worst_c = max(worst_c, rep.n_prime * float(rep.p_val) / core**3)
-            rows.extend(_rows_of(rep, "log_rank", inst.id))
+            rows = [_fields(rep)]
         except LostructureError as exc:
             reason = f"{type(exc).__name__}: {exc}"
-            rows.append(_row("log_rank", inst.id, flags=["ERROR"]))
-        results.append((inst.id, reason))
-    return _finish("log_rank", results, {"suggested_c_logrank": max(worst_c, 1.0)}, rows)
+            rows = [dict(flags=["ERROR"])]
+        yield inst.id, reason, rows
+    return {"suggested_c_logrank": max(worst_c, 1.0)}
 
 
 _SUITE_FNS = {
@@ -731,13 +666,23 @@ _SUITE_FNS = {
     "product_recovery": _suite_product_recovery,
     "log_rank": _suite_log_rank,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, config: Optional[RunConfig] = None) -> SuiteReport:
+    """Run one suite and report its cases in the order it yields them."""
     cfg = config or RunConfig()
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return _SUITE_FNS[name](cfg)
+    suite, cases = _SUITE_FNS[name](cfg), []
+    try:
+        while True:
+            cases.append(next(suite))
+    except StopIteration as done:
+        calibration = done.value
+    failures = tuple((cid, reason) for cid, reason, _ in cases if reason is not None)
+    rows = tuple(_row(name, cid, **kw) for cid, _, fields in cases for kw in fields)
+    return SuiteReport(name, len(cases), len(cases) - len(failures), failures, calibration, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +693,6 @@ def run_suite(name: str, config: Optional[RunConfig] = None) -> SuiteReport:
 def _calibrate_c_cp(cfg: RunConfig) -> float:
     """Smallest constant making the compound bound dominate on a mixed
     two-magnitude family; at r=0 the bound is linear in the constant."""
-    from .distributions import CompoundPoissonSpec
-
     worst = 1.0
     for n in (16, 32, 64):
         half = n // 2
@@ -785,28 +728,19 @@ def calibrate(config: Optional[RunConfig] = None, out_path: Optional[str] = None
     ratio_rep = run_suite("ratio_stability", cfg)
     log_rep = run_suite("log_rank", cfg)
     rec_rep = run_suite("recovery", cfg)
-    c = {name: getattr(cfg.constants, name) for name in CONSTANT_NAMES}
+    c = cfg.constants.as_dict()
     c["c_sum"] = round(ratio_rep.calibration["suggested_c_sum"] + 0.05, 2)
     c["c_logrank"] = round(log_rep.calibration["suggested_c_logrank"] + 0.05, 2)
-    t_max = rec_rep.calibration["max_sandwich_dilation"]
-    c["c_dilate"] = round(max(1.0, t_max ** (2.0 / 3.0)) + 0.05, 2)
-    ratios = [
-        rec_rep.calibration["max_size_ratio_bar"],
-        rec_rep.calibration["max_size_ratio_proper"],
-        rec_rep.calibration["max_size_ratio_tilde"],
-    ]
-    for name, ratio in zip(("c_size_bar", "c_size_proper", "c_size_tilde"), ratios):
-        c[name] = round(max(1.0, ratio ** (2.0 / 3.0)) + 0.05, 2)
+    for name, key in (
+        ("c_dilate", "max_sandwich_dilation"),
+        ("c_size_bar", "max_size_ratio_bar"),
+        ("c_size_proper", "max_size_ratio_proper"),
+        ("c_size_tilde", "max_size_ratio_tilde"),
+    ):
+        c[name] = round(max(1.0, rec_rep.calibration[key] ** (2.0 / 3.0)) + 0.05, 2)
     c["c_cp"] = round(_calibrate_c_cp(cfg) + 0.05, 2)
     c["c_esseen"] = round(_calibrate_c_esseen(cfg) + 0.05, 2)
-    out = RunConfig(
-        constants=Constants(**c),
-        atom_cap=cfg.atom_cap,
-        enum_cap=cfg.enum_cap,
-        mc_samples=cfg.mc_samples,
-        seed=cfg.seed,
-    )
-    blob = out.as_dict()
+    blob = dataclasses.replace(cfg, constants=Constants(**c)).as_dict()
     blob["calibration_sources"] = {
         "ratio_stability": ratio_rep.calibration,
         "log_rank": log_rep.calibration,

@@ -281,11 +281,9 @@ def recover(
     if a.dim != 1:
         raise ValueError("recover works on one-dimensional weight vectors")
     if params.q is None or params.p_val is None:
-        filled = make_params(a, F, params.tau, params.kappa, params.delta, params.r, params.n_prime, cfg)
-        params = dataclasses.replace(
-            filled,
-            q=params.q if params.q is not None else filled.q,
-            p_val=params.p_val if params.p_val is not None else filled.p_val,
+        q, p_val = _observe(a, F, params.tau, params.kappa, cfg.atom_cap)
+        params = params.with_observations(
+            q if params.q is None else params.q, p_val if params.p_val is None else params.p_val
         )
     m = select_m(params)
     n, n_prime, r, delta = a.n, params.n_prime, params.r, params.delta

@@ -311,6 +311,19 @@ class TestBadInput:
     def test_gen_params_not_json(self, capsys):
         self.assert_one_line_error(capsys, ["gen", "--kind", "ap", "--params", "{"], "--params", "JSONDecodeError")
 
+    def test_gen_params_not_an_object(self, capsys):
+        for text in ("[1]", "3", "null"):
+            self.assert_one_line_error(capsys, ["gen", "--kind", "ap", "--params", text], "--params", "JSON object")
+
+    def test_gen_unknown_kind(self, capsys):
+        """argparse rejects the kind: its usage and error line, exit code 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "mystery"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("lostructure gen: error: argument --kind: invalid choice: 'mystery'")
+
     def test_recover_params_missing_field(self, tmp_path, capsys):
         inst = write_json(tmp_path, "inst.json", gen_planted("ap", {"n": 4}).to_json_dict())
         params = write_json(tmp_path, "params.json", {"tau": "0"})

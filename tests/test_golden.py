@@ -6,6 +6,12 @@ Every golden file is rewritten, from the repository root, by
 
     PYTHONPATH=src python tests/test_golden.py
 
+`lostructure calibrate` under the calibrated config must likewise
+reproduce the shipped `src/lostructure/data/calibrated.json`, which is
+rewritten, from the repository root, by
+
+    PYTHONPATH=src python -m lostructure.cli calibrate --out src/lostructure/data/calibrated.json
+
 Regenerate them only when a change to the reported results is intended,
 and say so in CHANGES.md.  The ratio_stability rows and the calibration
 block carry Monte Carlo floats; they depend on numpy's random streams and
@@ -19,6 +25,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import lostructure
 from lostructure.cli import main
 from lostructure.config import calibrated_config
 from lostructure.harness import (
@@ -38,6 +45,13 @@ def test_suite_all_seed0_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert csv.read_bytes() == (GOLDEN / "suite_all_seed0.csv").read_bytes()
     assert out.read_bytes() == (GOLDEN / "suite_all_seed0.json").read_bytes()
+
+
+def test_calibration_is_byte_identical(tmp_path):
+    out = tmp_path / "calibrated.json"
+    assert main(["calibrate", "--out", str(out)]) == 0
+    shipped = Path(lostructure.__file__).parent / "data" / "calibrated.json"
+    assert out.read_bytes() == shipped.read_bytes()
 
 
 def recover_goldens() -> dict[str, bytes]:

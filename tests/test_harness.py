@@ -1,11 +1,14 @@
 """Planted instances, window helpers, and the CSV reporting plumbing."""
 
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lostructure.config import RunConfig
+from lostructure import harness
+from lostructure.config import RunConfig, calibrated_config
 from lostructure.concentration import conc_interval
 from lostructure.distributions import (
     CompoundPoissonSpec,
@@ -16,10 +19,11 @@ from lostructure.distributions import (
     weights_1d,
 )
 from lostructure.beta import check_cp_bound
-from lostructure.errors import InvalidWindow
+from lostructure.errors import EnumerationCapExceeded, InvalidWindow
 from lostructure.gap import Gap
 from lostructure.harness import (
     CSV_HEADER,
+    KINDS,
     SUITES,
     Instance,
     binomial_center_mass,
@@ -71,6 +75,12 @@ class TestGenPlanted:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
+            gen_planted("mystery")
+
+    def test_every_listed_kind_generates(self):
+        for kind in KINDS:
+            assert gen_planted(kind).id
+        with pytest.raises(ValueError, match=", ".join(KINDS)):
             gen_planted("mystery")
 
 
@@ -222,6 +232,56 @@ class TestRunSuite:
             "product_recovery",
             "log_rank",
         }
+
+
+class TestSuiteErrors:
+    """Where the suites catch: a package error in one case fails that case
+    with one ERROR row and leaves the others as in the golden seed-0 run; any
+    other exception propagates out of run_suite."""
+
+    CATCHING = [
+        ("recovery", "recover"),
+        ("product_recovery", "recover_multid"),
+        ("log_rank", "log_rank_construct"),
+    ]
+
+    @staticmethod
+    def patch(monkeypatch, target, exc, on_call):
+        real, calls = getattr(harness, target), []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == on_call:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, target, flaky)
+
+    @pytest.mark.parametrize("suite, target", CATCHING)
+    def test_package_error_fails_one_case(self, suite, target, monkeypatch, tmp_path):
+        self.patch(monkeypatch, target, EnumerationCapExceeded("budget spent"), on_call=2)
+        rep = run_suite(suite, dataclasses.replace(calibrated_config(), seed=0))
+        golden_dir = Path(__file__).parent / "golden"
+        golden = next(
+            r for r in json.loads((golden_dir / "suite_all_seed0.json").read_text()) if r["suite"] == suite
+        )
+        failed = rep.rows[1]["id"]  # one row per case, in case order
+        assert rep.failures == ((failed, "EnumerationCapExceeded: budget spent"),)
+        assert (rep.instances, rep.passes) == (golden["instances"], golden["passes"] - 1)
+        report_csv([rep], str(tmp_path / "suite.csv"))
+        lines = (tmp_path / "suite.csv").read_text().splitlines()[1:]
+        expected = [
+            ",".join([suite, failed] + [""] * 11 + ["ERROR"]) if ln.split(",")[1] == failed else ln
+            for ln in (golden_dir / "suite_all_seed0.csv").read_text().splitlines()
+            if ln.startswith(suite + ",")
+        ]
+        assert lines == expected
+
+    @pytest.mark.parametrize("suite, target", CATCHING)
+    def test_programming_error_propagates(self, suite, target, monkeypatch):
+        self.patch(monkeypatch, target, AssertionError("a bug"), on_call=1)
+        with pytest.raises(AssertionError, match="a bug"):
+            run_suite(suite)
 
 
 def product_coordinate_params_per_entry(inst, j, cfg):

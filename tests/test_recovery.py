@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lostructure.config import RunConfig, calibrated_config
+from lostructure.config import Constants, RunConfig, calibrated_config
 from lostructure.distributions import WeightVector, point_mass, rademacher, weights_1d
 from lostructure.errors import (
     FLAG_NO_INFORMATION,
@@ -250,6 +250,19 @@ class TestRecoverFillsObservations:
         assert rep.params.p_val == HALF
         assert rep.flags == ()
         assert all(v == 128 for v in rep.coverage.values())
+
+    def test_keeps_the_callers_constants(self):
+        """Filling q keeps the params' constants: c_window 1/4 admits n' = 17
+        at n = 20, where the config's default c_window would not."""
+        a, F = weights_1d([1] * 20), rademacher()
+        given = dataclasses.replace(
+            make_params(a, F, 0, 1, 0, 0, 17), constants=Constants(c_window=0.25)
+        )
+        rep = recover(a, F, given, RunConfig())
+        assert rep.m == 1
+        for missing in ({"q": None}, {"p_val": None}, {"q": None, "p_val": None}):
+            filled = recover(a, F, dataclasses.replace(given, **missing), RunConfig())
+            assert filled.to_json_dict() == rep.to_json_dict()
 
     def test_dimension_guard(self):
         a2 = WeightVector(2, ((Fraction(1), Fraction(1)),))
