@@ -248,7 +248,8 @@ def _cmd_gen(args) -> int:
         params = json.loads(args.params or "{}")
         if not isinstance(params, dict):
             raise TypeError(f"expected a JSON object, got {type(params).__name__}")
-    inst = gen_planted(args.kind, params, args.seed)
+        # generation is where the values are read, so its rejections are input errors
+        inst = gen_planted(args.kind, params, args.seed)
     _emit(inst.to_json_dict(), args.out)
     return 0
 

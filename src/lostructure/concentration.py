@@ -208,7 +208,6 @@ def reduction_pair(
     mc_samples: int = 10**5,
     seed: int = 0,
     delta=None,
-    esseen_constant: float = 1.0,
 ) -> ReductionPair:
     """Exact Q(F_a, tau) against the estimated Q(H^p, kappa) it reduces to.
 
@@ -233,7 +232,7 @@ def reduction_pair(
         return ReductionPair(lhs, 1.0, 1.0, p, factor)
     spec = CompoundPoissonSpec(a, float(p))
     est, _ = empirical_window_max(spec.sample(mc_samples, seed), float(width))
-    ess = esseen_upper(lambda u: spec.char_fn([u]), float(width), esseen_constant)
+    ess = esseen_upper(lambda u: spec.char_fn([u]), float(width))
     return ReductionPair(lhs, est, min(ess, 1.0), p, factor)
 
 

@@ -50,7 +50,10 @@ class RunConfig:
 
 def config_from_dict(d: dict) -> RunConfig:
     """A RunConfig from its as_dict form; a missing key keeps its default and
-    an unknown key is ignored."""
+    an unknown key is ignored.  TypeError when d or its constants map is not
+    a JSON object."""
+    if not isinstance(d, dict) or not isinstance(d.get("constants", {}), dict):
+        raise TypeError("a config and its constants must be JSON objects")
     consts = {k: float(v) for k, v in d.get("constants", {}).items() if k in CONSTANT_NAMES}
     ints = [f.name for f in dataclasses.fields(RunConfig) if f.name != "constants"]
     return RunConfig(Constants(**consts), **{k: int(d[k]) for k in ints if k in d})

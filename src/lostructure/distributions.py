@@ -29,6 +29,7 @@ from .errors import AtomCapExceeded
 from .rational import Vec, common_grid, dot, format_fraction, max_norm, to_fraction, to_vec
 
 DEFAULT_ATOM_CAP = 10**6
+_H_MASS_TOL = 1e-12  # mass h_point_mass_zero may drop from its truncated pmfs
 IntVec = tuple[int, ...]  # a value on an integer grid
 
 
@@ -400,12 +401,13 @@ def sample_H_lambda(spec: CompoundPoissonSpec, count: int, seed: int) -> np.ndar
     return out[:, 0] if a.dim == 1 else out
 
 
-def h_point_mass_zero(a: WeightVector, lam: float, tol: float = 1e-12, support_cap: int = 10**6) -> float:
+def h_point_mass_zero(a: WeightVector, lam: float) -> float:
     """P(H^lam = {0 vector}) via truncated symmetric Poisson-difference pmfs.
 
     Entries of equal magnitude pool their rates; each pooled difference
-    count is truncated once its two-sided pmf captures all but tol of the
-    mass, so the returned value underestimates by at most tol in total.
+    count is truncated once its two-sided pmf captures all but its share of
+    _H_MASS_TOL, so the returned value underestimates by at most that in
+    total.  AtomCapExceeded when the support outgrows DEFAULT_ATOM_CAP.
     """
     from scipy.stats import skellam
 
@@ -419,7 +421,7 @@ def h_point_mass_zero(a: WeightVector, lam: float, tol: float = 1e-12, support_c
         groups[key] = groups.get(key, 0) + mult
     if not groups:
         return 1.0
-    per_group_tol = tol / len(groups)
+    per_group_tol = _H_MASS_TOL / len(groups)
     acc: dict[Vec, float] = {(Fraction(0),) * a.dim: 1.0}
     for e, mult in sorted(groups.items()):
         mu = mult * lam / 4.0
@@ -437,7 +439,7 @@ def h_point_mass_zero(a: WeightVector, lam: float, tol: float = 1e-12, support_c
             for k, pk in pmf:
                 key = tuple(c + k * ec for c, ec in zip(v, e))
                 nxt[key] = nxt.get(key, 0.0) + p * pk
-        if len(nxt) > support_cap:
-            raise AtomCapExceeded(f"truncated support grew to {len(nxt)} (cap {support_cap})")
+        if len(nxt) > DEFAULT_ATOM_CAP:
+            raise AtomCapExceeded(f"truncated support grew to {len(nxt)} (cap {DEFAULT_ATOM_CAP})")
         acc = nxt
     return acc.get((Fraction(0),) * a.dim, 0.0)

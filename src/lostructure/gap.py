@@ -462,13 +462,8 @@ def _shrink_dims(gens: list[tuple[int, ...]], dims: list[Fraction], S: set, enum
                 raise EnumerationCapExceeded("sandwich candidate image exceeds cap")
             dims[j] = max(dims[j] - 1, Fraction(1, 2))
             continue
-        violation = None
-        ranges = [range(-math.floor(L), math.floor(L) + 1) for L in dims]
-        for m in itertools.product(*ranges):
-            pt = tuple(sum(m[j] * gens[j][i] for j in range(len(gens))) for i in range(r))
-            if pt not in S:
-                violation = m
-                break
+        # each point keeps its first witness in (lexicographic) product order
+        violation = min((m for pt, m in _image_table(P, enum_cap)[1].items() if pt not in S), default=None)
         if violation is None:
             return dims
         j = max(range(len(gens)), key=lambda i: (abs(violation[i]), dims[i], i))

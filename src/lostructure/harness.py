@@ -44,12 +44,13 @@ from .distributions import (
     weights_1d,
 )
 from .errors import InvalidWindow, LostructureError
-from .gap import Gap, dilate, image, is_proper, near, size, vol
+from .gap import Gap, dilate, gap_1d, image, is_proper, near, size, vol
 from .rational import format_fraction, to_fraction
 from .recovery import (
     LogRankReport,
     RecoveryParams,
     RecoveryReport,
+    _product_gap,
     log_rank_construct,
     recover,
     recover_multid,
@@ -188,14 +189,8 @@ def gen_planted(kind: str, params: Optional[dict] = None, seed: int = 0) -> Inst
             rows.append(tuple(gs[j] * rng.choice((-1, 1)) for j in range(d)))
         rows += [tuple(Hs)] * n_out
         outliers = tuple(range(n_pad + n_sig, n_pad + n_sig + n_out))
-        dims = tuple(Fraction(1) for _ in range(d))
-        gens = []
-        for j in range(d):
-            vec = [Fraction(0)] * d
-            vec[j] = gs[j]
-            gens.append(tuple(vec))
         planted = {
-            "gap": Gap(d, d, dims, tuple(gens)),
+            "gap": _product_gap([gap_1d([1], [g]) for g in gs], d),
             "outliers": outliers,
             "delta0": max(eps) if n_pad else Fraction(0),
         }

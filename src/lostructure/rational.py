@@ -119,51 +119,49 @@ def floor_ratio_sqrt(a: Fraction, b: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Small exact linear algebra.  Ranks here never exceed three, so plain
-# fraction Gaussian elimination and gcd row reduction are entirely adequate.
+# Small exact linear algebra.  Ranks here never exceed three.  Rank, square
+# solves and lattice membership share one fraction-free elimination on
+# integer rows; hnf_basis keeps its gcd row steps, which stay unimodular.
 # ---------------------------------------------------------------------------
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss, 1968) reduced row echelon form of integer rows:
+    the rows and each leading row's pivot column.  Entries stay minors, so
+    each update divides exactly by the previous pivot, and every leading
+    row ends with the last pivot (the pivot block's determinant) on its
+    diagonal."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        p = next((i for i in range(top, len(mat)) if mat[i][col]), None)
+        if p is None:
+            continue
+        mat[top], mat[p] = mat[p], mat[top]
+        head = mat[top]
+        for i in range(len(mat)):
+            if i != top:
+                f = mat[i][col]
+                mat[i] = [(head[col] * x - f * y) // prev for x, y in zip(mat[i], head)]
+        prev = head[col]
+        pivots.append(col)
+    return mat, pivots
 
 
 def rank_over_q(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix with rational entries."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_echelon([common_grid(map(Fraction, r))[1] for r in rows])[1])
 
 
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve an n x n rational system; None when singular."""
     n = len(rows)
-    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return tuple(mat[i][n] for i in range(n))
+    mat, pivots = _echelon([common_grid(map(Fraction, [*rows[i], rhs[i]]))[1] for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(Fraction(r[n], r[i]) for i, r in enumerate(mat))
 
 
 def hnf_basis(vectors: Iterable[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
@@ -243,21 +241,12 @@ def reduce_basis(basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 def lattice_coefficients(basis: Sequence[Sequence[int]], target: Sequence[int]):
     """Integer coefficients c with sum c_j * basis_j == target, or None.
 
-    Solves the Gram system exactly, then verifies integrality and the
-    reconstruction (the target may sit outside the lattice's span).
+    Eliminates [basis^T | target] on integers: pivots other than 0..k-1
+    mean a dependent basis or a target outside the span, and row i then
+    reads det * c_i == its last entry, which must divide exactly.
     """
     k = len(basis)
-    if k == 0:
-        return () if not any(target) else None
-    gram = [[Fraction(sum(a * b for a, b in zip(basis[i], basis[j]))) for j in range(k)] for i in range(k)]
-    rhs = [Fraction(sum(a * b for a, b in zip(basis[i], target))) for i in range(k)]
-    sol = solve_square(gram, rhs)
-    if sol is None:
+    mat, pivots = _echelon([[*col, t] for *col, t in zip(*basis, target)])
+    if pivots != list(range(k)) or any(r[k] % r[i] for i, r in enumerate(mat[:k])):
         return None
-    if any(c.denominator != 1 for c in sol):
-        return None
-    coef = tuple(int(c) for c in sol)
-    recon = [sum(coef[j] * basis[j][i] for j in range(k)) for i in range(len(target))]
-    if list(target) != recon:
-        return None
-    return coef
+    return tuple(r[k] // r[i] for i, r in enumerate(mat[:k]))

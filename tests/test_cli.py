@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lostructure.cli import main
+from lostructure.config import config_from_dict
 from lostructure.distributions import (
     from_scalar_atoms,
     levy_measure_star,
@@ -314,6 +315,24 @@ class TestBadInput:
     def test_gen_params_not_an_object(self, capsys):
         for text in ("[1]", "3", "null"):
             self.assert_one_line_error(capsys, ["gen", "--kind", "ap", "--params", text], "--params", "JSON object")
+
+    @pytest.mark.parametrize(
+        "kind, text, fragment",
+        [
+            ("ap", '{"n": "x"}', "ValueError: invalid literal for int()"),
+            ("outliers", '{"g": 0.5}', "TypeError: expected int, Fraction, or 'p/q' string, got float"),
+            ("ap", '{"n": 0}', "ValueError: dims must be positive"),
+        ],
+    )
+    def test_gen_params_value_rejected_by_generation(self, capsys, kind, text, fragment):
+        self.assert_one_line_error(capsys, ["gen", "--kind", kind, "--params", text], "--params", fragment)
+
+    @pytest.mark.parametrize("config", [{"constants": None}, [1]])
+    def test_config_not_an_object(self, tmp_path, capsys, config):
+        with pytest.raises(TypeError, match="JSON objects"):
+            config_from_dict(config)
+        path = write_json(tmp_path, "cfg.json", config)
+        self.assert_one_line_error(capsys, ["--config", path, "suite", "gap_laws"], "cfg.json", "TypeError")
 
     def test_gen_unknown_kind(self, capsys):
         """argparse rejects the kind: its usage and error line, exit code 2."""

@@ -9,6 +9,7 @@ that to pin down what an operation returned.
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -534,6 +535,66 @@ class TestSandwichReference:
         body whose winner is decided by size among equal t*; and one whose
         result depends on the 40th valid basis of the first phase."""
         assert sandwich_outcome(mahler_sandwich, V, cap_t) == sandwich_outcome(reference_sandwich, V, cap_t)
+
+
+def reference_shrink_dims(gens, dims, S, enum_cap):
+    """_shrink_dims as it found its violation with its own product loop
+    (oracle)."""
+    r = len(gens[0]) if gens else 0
+    while True:
+        P = Gap(max(r, 1), len(gens), tuple(dims), tuple(tuple(Fraction(c) for c in g) for g in gens))
+        if vol(P) > enum_cap:
+            j = max(range(len(dims)), key=lambda i: (dims[i], i))
+            if dims[j] <= Fraction(1, 2):
+                raise EnumerationCapExceeded("sandwich candidate image exceeds cap")
+            dims[j] = max(dims[j] - 1, Fraction(1, 2))
+            continue
+        violation = None
+        ranges = [range(-math.floor(L), math.floor(L) + 1) for L in dims]
+        for m in itertools.product(*ranges):
+            pt = tuple(sum(m[j] * gens[j][i] for j in range(len(gens))) for i in range(r))
+            if pt not in S:
+                violation = m
+                break
+        if violation is None:
+            return dims
+        j = max(range(len(gens)), key=lambda i: (abs(violation[i]), dims[i], i))
+        new_dim = Fraction(abs(violation[j]) - 1)
+        dims[j] = new_dim if new_dim >= 1 else Fraction(1, 2)
+
+
+@st.composite
+def shrink_inputs(draw):
+    """1-3 integer generators in dimension 1-3, starting dims of 1/2 or a
+    small integer, and a point set that holds the origin (so that all dims
+    at 1/2 fit) plus some of the box's image and some strays."""
+    r, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gens = [tuple(draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))) for _ in range(k)]
+    dims = [draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)])) for _ in range(k)]
+    box = list(itertools.product(*[range(-math.floor(L), math.floor(L) + 1) for L in dims]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    keep = rng.sample(box, rng.randint(0, len(box)))
+    S = {tuple(sum(m[j] * gens[j][i] for j in range(k)) for i in range(r)) for m in keep}
+    S |= set(draw(st.lists(st.tuples(*[st.integers(-6, 6)] * r), max_size=6)))
+    S.add((0,) * r)
+    return gens, dims, S, draw(st.sampled_from([5, 30, 10**4]))
+
+
+def shrink_outcome(shrink, gens, dims, S, enum_cap):
+    try:
+        return shrink(list(gens), list(dims), S, enum_cap)
+    except EnumerationCapExceeded as err:
+        return type(err), str(err)
+
+
+class TestShrinkDimsReference:
+    @given(shrink_inputs())
+    @example(([(-2,), (1,)], [Fraction(1), Fraction(1)], {(-2,), (-1,), (0,), (1,)}, 10**4))
+    def test_matches_reference(self, inputs):
+        """The same trimmed dims, or the same cap error, as the product loop.
+        Pinned: a box with two points outside S, where only the first in
+        product order gives the reference's dims."""
+        assert shrink_outcome(_shrink_dims, *inputs) == shrink_outcome(reference_shrink_dims, *inputs)
 
 
 class TestEmbedProper:

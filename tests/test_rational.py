@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lostructure.rational import (
@@ -185,3 +185,154 @@ class TestCommonGrid:
         assert common_grid([]) == (1, [])
         assert common_grid([Fraction(-3), 4]) == (1, [-3, 4])
         assert common_grid(iter([Fraction(1, 6), Fraction(-3, 4)])) == (12, [2, -9])
+
+
+# ---------------------------------------------------------------------------
+# Reference copies: the Fraction eliminations and the Gram-matrix lattice
+# test that the fraction-free elimination replaced (oracles).
+# ---------------------------------------------------------------------------
+
+
+def reference_rank_over_q(rows):
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    col = 0
+    while rank < len(mat) and col < ncols:
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][col] != 0:
+                f = mat[i][col] / pv
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reference_solve_square(rows, rhs):
+    n = len(rows)
+    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        pv = mat[col][col]
+        mat[col] = [x / pv for x in mat[col]]
+        for i in range(n):
+            if i != col and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
+    return tuple(mat[i][n] for i in range(n))
+
+
+def reference_lattice_coefficients(basis, target):
+    k = len(basis)
+    if k == 0:
+        return () if not any(target) else None
+    gram = [[Fraction(sum(a * b for a, b in zip(basis[i], basis[j]))) for j in range(k)] for i in range(k)]
+    rhs = [Fraction(sum(a * b for a, b in zip(basis[i], target))) for i in range(k)]
+    sol = reference_solve_square(gram, rhs)
+    if sol is None:
+        return None
+    if any(c.denominator != 1 for c in sol):
+        return None
+    coef = tuple(int(c) for c in sol)
+    recon = [sum(coef[j] * basis[j][i] for j in range(k)) for i in range(len(target))]
+    if list(target) != recon:
+        return None
+    return coef
+
+
+small_rats = st.one_of(st.just(Fraction(0)), st.integers(-4, 4).map(Fraction), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def degenerate_matrices(draw, square=False):
+    """Up to 4 x 4 rational matrices, some rows zeroed, copied at a scale
+    or made a combination of two others, and some columns zeroed, so that
+    the elimination must skip columns and meet dependent rows."""
+    m = draw(st.integers(0, 4))
+    n = m if square else draw(st.integers(1, 4))
+    rows = [draw(st.lists(small_rats, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        if m == 0:
+            break
+        i, j, l = (draw(st.integers(0, m - 1)) for _ in range(3))
+        a, b = draw(small_rats), draw(small_rats)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+        for r in rows:
+            r[c] = Fraction(0)
+    return rows
+
+
+@st.composite
+def lattice_queries(draw):
+    """(basis, target) with k <= 3 integer vectors in dimension 1-4: the
+    target an integer or half-integer combination, zero, or arbitrary, and
+    the basis sometimes made dependent."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    basis = [draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)) for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        basis[0] = [a * x + b * y for x, y in zip(basis[1], basis[-1])]
+    kind = draw(st.sampled_from(["integer", "half", "zero", "any"]))
+    if kind == "any" or k == 0:
+        target = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    else:
+        scale = 2 if kind == "half" else 1
+        coef = [Fraction(draw(st.integers(-4, 4)), scale) for _ in range(k)] if kind != "zero" else [0] * k
+        target = [sum(c * b[i] for c, b in zip(coef, basis)) for i in range(d)]
+        assume(all(Fraction(t).denominator == 1 for t in target))
+        target = [int(t) for t in target]
+    return basis, target
+
+
+class TestEliminationReference:
+    @given(degenerate_matrices())
+    def test_rank_matches_reference(self, rows):
+        assert rank_over_q(rows) == reference_rank_over_q(rows)
+
+    @given(degenerate_matrices(square=True), st.data())
+    def test_solve_matches_reference(self, rows, data):
+        """Consistent right-hand sides (A x) and arbitrary ones, on singular
+        and on regular systems."""
+        n = len(rows)
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(small_rats, min_size=n, max_size=n))
+            rhs = [sum((a * c for a, c in zip(r, x)), Fraction(0)) for r in rows]
+        else:
+            rhs = data.draw(st.lists(small_rats, min_size=n, max_size=n))
+        assert solve_square(rows, rhs) == reference_solve_square(rows, rhs)
+
+    @given(lattice_queries())
+    def test_lattice_coefficients_match_reference(self, query):
+        basis, target = query
+        got = lattice_coefficients(basis, target)
+        assert got == reference_lattice_coefficients(basis, target)
+        assert got is None or all(type(c) is int for c in got)
+
+    def test_empty_cases(self):
+        assert rank_over_q([]) == reference_rank_over_q([]) == 0
+        assert rank_over_q([[]]) == reference_rank_over_q([[]]) == 0
+        assert solve_square([], []) == reference_solve_square([], []) == ()
+        assert lattice_coefficients([], ()) == reference_lattice_coefficients([], ()) == ()
+        assert lattice_coefficients([], (0, 0)) == reference_lattice_coefficients([], (0, 0)) == ()
+        assert lattice_coefficients([], (0, 1)) is reference_lattice_coefficients([], (0, 1)) is None
+
+    def test_singular_systems(self):
+        """A singular matrix gives None whatever the right-hand side, and
+        string and float entries are still accepted."""
+        rows = [[1, 2], [2, 4]]
+        assert solve_square(rows, [1, 2]) is None
+        assert solve_square(rows, [1, 3]) is None
+        assert solve_square([["1/2", 0], [0, 0.25]], [1, 1]) == (Fraction(2), Fraction(4))
+        assert rank_over_q([["1/2", "1/3"], [3, 2]]) == 1
