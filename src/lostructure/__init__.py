@@ -101,7 +101,6 @@ from .recovery import (
     RecoveryParams,
     RecoveryReport,
     log_rank_construct,
-    log_rank_construct_multid,
     make_params,
     recover,
     recover_multid,

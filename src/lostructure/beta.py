@@ -31,7 +31,7 @@ from .distributions import (
     sample_H_lambda,
 )
 from .errors import FLAG_DEGENERATE_BETA, UnsupportedRank
-from .gap import Cgap, SymmetricPolytope, box_body, cgap_image, interval_body, near, zero_cgap
+from .gap import Cgap, box_body, cgap_image, interval_body, near, zero_cgap
 from .rational import common_grid, format_fraction, to_fraction
 
 EXACT = "exact"
@@ -54,20 +54,11 @@ class BetaResult:
         }
 
 
-def _scalar_atoms(W) -> list[tuple[Fraction, Fraction]]:
-    if getattr(W, "dim", 1) != 1:
-        raise ValueError("beta is defined for measures on the line")
-    out = []
-    for v, mass in W.atoms:
-        out.append((v[0] if isinstance(v, tuple) else to_fraction(v), to_fraction(mass)))
-    return out
-
-
-def mass_outside(W, Kimg: Iterable[Fraction], tau) -> Fraction:
-    """W-mass strictly farther than tau from the finite set Kimg."""
+def mass_outside(W: AtomicMeasure, Kimg: Iterable[Fraction], tau) -> Fraction:
+    """W-mass strictly farther than tau from the finite set Kimg; W on the line."""
     t = to_fraction(tau)
     pts = tuple(sorted(Kimg))
-    return sum((mass for w, mass in _scalar_atoms(W) if not near(pts, w, t)), Fraction(0))
+    return sum((mass for w, mass in W.scalar_atoms() if not near(pts, w, t)), Fraction(0))
 
 
 def _interval_dim(M: int) -> Fraction:
@@ -174,7 +165,7 @@ def _rank1_scan(atoms, tau: Fraction, M: int):
     return sum((mass for _, mass in missed), Fraction(0)), h, missed, searched
 
 
-def beta(W, tau, r: int, m: int, mode: str = "auto") -> BetaResult:
+def beta(W: AtomicMeasure, tau, r: int, m: int) -> BetaResult:
     """Least W-mass left outside the closed tau-neighborhood of a symmetric
     convex progression with rank r and at most m lattice points.
 
@@ -186,14 +177,10 @@ def beta(W, tau, r: int, m: int, mode: str = "auto") -> BetaResult:
         raise UnsupportedRank(f"beta implemented for ranks 0..2, got {r}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if mode not in ("auto", EXACT, UPPER_BOUND):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == EXACT and r == 2:
-        raise UnsupportedRank("exact search is not available at rank 2")
     t = to_fraction(tau)
     if t < 0:
         raise ValueError("tau must be nonnegative")
-    atoms = _scalar_atoms(W)
+    atoms = W.scalar_atoms()
 
     if r == 0:
         witness = zero_cgap()
@@ -328,8 +315,7 @@ def check_cp_bound(cp: CompoundPoissonSpec, tau, r: int, m: int, config: Optiona
         raise ValueError("bound check implemented on the line")
     t = to_fraction(tau)
     c = cfg.constants.c_cp
-    jump = cp.normalized_jump_law()
-    b = beta(AtomicMeasure(1, jump.atoms), t, r, m)
+    b = beta(cp.normalized_jump_law(), t, r, m)
     rhs = cp_bound_rhs(float(cp.alpha), float(b.value), r, m, c)
     flags = (FLAG_DEGENERATE_BETA,) if b.value == 0 else ()
     if t == 0:
@@ -390,15 +376,3 @@ def append_bound_ledger(path, instance_id: str, report: BoundReport) -> None:
         ]
     )
     append_csv(path, BOUND_LEDGER_HEADER, [row])
-
-
-def char_increment_slack(char_fn, ts, hs) -> float:
-    """Max violation of |U(t+h) - U(t)|^2 <= 2(1 - Re U(h)) over the grid;
-    nonpositive up to roundoff for genuine characteristic functions."""
-    worst = -math.inf
-    for t in ts:
-        for h in hs:
-            lhs = abs(char_fn(t + h) - char_fn(t)) ** 2
-            rhs = 2.0 * (1.0 - complex(char_fn(h)).real)
-            worst = max(worst, lhs - rhs)
-    return worst

@@ -30,7 +30,7 @@ from .distributions import (
     DiscreteDistribution,
     WeightVector,
 )
-from .gap import Cgap, Gap, SymmetricPolytope, dilate, image, is_proper, mahler_sandwich, embed_proper, size
+from .gap import Gap, SymmetricPolytope, dilate, image, is_proper, mahler_sandwich, embed_proper, size
 from .harness import KINDS, SUITES, calibrate, gen_planted, report_csv, run_suite
 from .rational import format_fraction, to_fraction
 from .recovery import (
@@ -156,7 +156,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_beta(args) -> int:
     W = _load(AtomicMeasure, args.measure)
-    res = beta(W, _flag("--tau", args.tau), args.r, args.m, mode=args.mode)
+    res = beta(W, _flag("--tau", args.tau), args.r, args.m)
     _emit(res.to_json_dict(), args.out)
     return 0
 
@@ -310,7 +310,6 @@ def main(argv=None) -> int:
     p.add_argument("--tau", default="0")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--mode", choices=("auto", "exact", "upper_bound"), default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_beta)
 

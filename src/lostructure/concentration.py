@@ -31,7 +31,6 @@ from .errors import QuadratureFailure
 from .rational import common_grid, format_fraction, to_fraction
 
 MODE_EXACT = "exact"
-MODE_UPPER = "upper_bound"
 MODE_MC = "monte_carlo"
 
 

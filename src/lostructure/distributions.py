@@ -1,10 +1,11 @@
 """Finitely supported laws in exact rational arithmetic.
 
-Houses the discrete law of a single summand, its symmetrization and tail
-functional, weight vectors with exact norm bookkeeping, the exact law of the
-weighted sum, and the symmetric compound-Poisson family built from a weight
-vector (characteristic function, Levy-type atom measure, and a
-Poisson-difference sampler).
+Houses finite atomic measures (a law is one of total mass exactly 1), the
+discrete law of a single summand, its symmetrization and tail functional,
+weight vectors with exact norm bookkeeping, the exact law of the weighted
+sum, and the symmetric compound-Poisson family built from a weight vector
+(characteristic function, Levy-type atom measure, and a Poisson-difference
+sampler).
 
 Values are tuples of Fractions of length ``dim``; masses are Fractions.
 Everything downstream (window sweeps, properness, witness searches) relies
@@ -26,7 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import AtomCapExceeded
-from .rational import Vec, common_grid, dot, format_fraction, max_norm, to_fraction, to_vec
+from .rational import Vec, common_grid, format_fraction, max_norm, to_fraction, to_vec
 
 DEFAULT_ATOM_CAP = 10**6
 _H_MASS_TOL = 1e-12  # mass h_point_mass_zero may drop from its truncated pmfs
@@ -47,8 +48,9 @@ def _canonical_atoms(pairs: Iterable, dim: int) -> tuple[tuple[Vec, Fraction], .
 
 
 @dataclasses.dataclass(frozen=True)
-class DiscreteDistribution:
-    """A probability law with finitely many rational atoms in R^dim."""
+class AtomicMeasure:
+    """A finite positive atomic measure on R^dim: rational atoms with
+    rational masses, in canonical (sorted, duplicate-free) order."""
 
     dim: int
     atoms: tuple[tuple[Vec, Fraction], ...]
@@ -57,9 +59,36 @@ class DiscreteDistribution:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         object.__setattr__(self, "atoms", _canonical_atoms(self.atoms, self.dim))
-        total = sum((m for _, m in self.atoms), Fraction(0))
-        if total != 1:
-            raise ValueError(f"masses must sum to exactly 1, got {total}")
+
+    @property
+    def total(self) -> Fraction:
+        return sum((m for _, m in self.atoms), Fraction(0))
+
+    def scalar_atoms(self) -> list[tuple[Fraction, Fraction]]:
+        """(value, mass) pairs with scalar values; dim must be 1."""
+        if self.dim != 1:
+            raise ValueError("scalar_atoms requires dim=1")
+        return [(v[0], m) for v, m in self.atoms]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "dim": self.dim,
+            "atoms": [[[format_fraction(c) for c in v], format_fraction(m)] for v, m in self.atoms],
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "AtomicMeasure":
+        return cls(int(d["dim"]), tuple((tuple(v), m) for v, m in d["atoms"]))
+
+
+@dataclasses.dataclass(frozen=True)
+class DiscreteDistribution(AtomicMeasure):
+    """A probability law: an atomic measure of total mass exactly 1."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.total != 1:
+            raise ValueError(f"masses must sum to exactly 1, got {self.total}")
 
     @property
     def support_size(self) -> int:
@@ -71,12 +100,6 @@ class DiscreteDistribution:
             if val == v:
                 return m
         return Fraction(0)
-
-    def scalar_atoms(self) -> list[tuple[Fraction, Fraction]]:
-        """(value, mass) pairs with scalar values; dim must be 1."""
-        if self.dim != 1:
-            raise ValueError("scalar_atoms requires dim=1")
-        return [(v[0], m) for v, m in self.atoms]
 
     def marginal(self, j: int) -> "DiscreteDistribution":
         """Law of coordinate j (0-based)."""
@@ -97,16 +120,6 @@ class DiscreteDistribution:
         vals = np.array([float(v[0]) for v, _ in self.atoms])
         masses = np.array([float(m) for _, m in self.atoms])
         return lambda t: np.sum(masses * np.exp(1j * np.asarray(t)[..., None] * vals), axis=-1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [[[format_fraction(c) for c in v], format_fraction(m)] for v, m in self.atoms],
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "DiscreteDistribution":
-        return DiscreteDistribution(int(d["dim"]), tuple((tuple(v), m) for v, m in d["atoms"]))
 
 
 def from_scalar_atoms(pairs: Iterable) -> DiscreteDistribution:
@@ -178,12 +191,6 @@ class WeightVector:
             raise ValueError("scalar_entries requires dim=1")
         return [e[0] for e in self.entries]
 
-    def sorted_abs_desc(self) -> list[Fraction]:
-        """Entry magnitudes (max-norm) sorted descending, ties by index."""
-        mags = [max_norm(e) for e in self.entries]
-        order = sorted(range(self.n), key=lambda k: (-mags[k], k))
-        return [mags[k] for k in order]
-
     def as_float_array(self) -> np.ndarray:
         return np.array([[float(c) for c in e] for e in self.entries])
 
@@ -197,37 +204,6 @@ class WeightVector:
 
 def weights_1d(values) -> WeightVector:
     return WeightVector(1, tuple((v,) for v in values))
-
-
-@dataclasses.dataclass(frozen=True)
-class AtomicMeasure:
-    """A finite nonnegative atomic measure; total mass need not be 1."""
-
-    dim: int
-    atoms: tuple[tuple[Vec, Fraction], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _canonical_atoms(self.atoms, self.dim))
-
-    @property
-    def total(self) -> Fraction:
-        return sum((m for _, m in self.atoms), Fraction(0))
-
-    def scalar_atoms(self) -> list[tuple[Fraction, Fraction]]:
-        if self.dim != 1:
-            raise ValueError("scalar_atoms requires dim=1")
-        return [(v[0], m) for v, m in self.atoms]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [[[format_fraction(c) for c in v], format_fraction(m)] for v, m in self.atoms],
-            "total": format_fraction(self.total),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "AtomicMeasure":
-        return AtomicMeasure(int(d["dim"]), tuple((tuple(v), m) for v, m in d["atoms"]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -439,7 +415,8 @@ def h_point_mass_zero(a: WeightVector, lam: float) -> float:
             for k, pk in pmf:
                 key = tuple(c + k * ec for c, ec in zip(v, e))
                 nxt[key] = nxt.get(key, 0.0) + p * pk
-        if len(nxt) > DEFAULT_ATOM_CAP:
-            raise AtomCapExceeded(f"truncated support grew to {len(nxt)} (cap {DEFAULT_ATOM_CAP})")
+            # checked per row, as in _convolve: supports only grow
+            if len(nxt) > DEFAULT_ATOM_CAP:
+                raise AtomCapExceeded(f"truncated support grew to {len(nxt)} (cap {DEFAULT_ATOM_CAP})")
         acc = nxt
     return acc.get((Fraction(0),) * a.dim, 0.0)

@@ -53,5 +53,4 @@ class TrivialCase(LostructureError):
 FLAG_DEGENERATE_BETA = "DegenerateBeta"
 FLAG_WINDOW_VIOLATED = "TheoremWindowViolated"
 FLAG_NO_INFORMATION = "NoInformation"
-FLAG_TRIVIAL_CASE = "TrivialCase"
 FLAG_CERTIFICATION_FAILED = "CertificationFailed"

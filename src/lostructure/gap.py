@@ -131,7 +131,7 @@ class SymmetricPolytope:
 
 def interval_body(L) -> SymmetricPolytope:
     """The rank-1 body [-L, L]."""
-    return SymmetricPolytope(1, (((Fraction(1),), to_fraction(L)),))
+    return box_body([L])
 
 
 def box_body(bounds: Sequence) -> SymmetricPolytope:
@@ -334,8 +334,7 @@ class Cgap:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Cgap":
-        body = SymmetricPolytope(int(d["rank"]), tuple((tuple(c["u"]), c["b"]) for c in d.get("constraints", ())))
-        return Cgap(int(d["rank"]), tuple(d["h"]), body)
+        return Cgap(int(d["rank"]), tuple(d["h"]), SymmetricPolytope.from_json_dict(d))
 
 
 def zero_cgap() -> Cgap:

@@ -482,7 +482,7 @@ def _suite_beta_oracle(cfg: RunConfig) -> Cases:
         W = AtomicMeasure(1, tuple(((v,), mass) for v, mass in atoms))
         tau = [Fraction(0), Fraction(1, 2), Fraction(1)][i % 3]
         m = [3, 5, 7][(i // 3) % 3]
-        res = beta(W, tau, 1, m, mode="exact")
+        res = beta(W, tau, 1, m)
         M = (m - 1) // 2
         vals = np.array([float(v) for v, _ in atoms])
         masses = np.array([float(mass) for _, mass in atoms])

@@ -1,13 +1,13 @@
-"""Exact rational utilities: parsing, square-root comparisons, small
-integer linear algebra.
+"""Exact rational utilities: parsing, an exact floor of a ratio to a
+square root, small integer linear algebra.
 
 All discrete laws, progressions, and witnesses in this package are kept in
 ``fractions.Fraction`` arithmetic so that "proper", "covered", and "equal"
 are decided exactly; the hot kernels put their Fractions on one integer
 grid (``common_grid``) and compute on integers, which is just as exact.
 Square roots of rationals (vector norms, window formulas) are never
-evaluated as floats on a decision path; the helpers here compare against
-the square instead.
+evaluated as floats on a decision path; ``floor_ratio_sqrt`` compares
+against the square instead.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 
@@ -84,27 +83,6 @@ def norm_sq(v) -> Fraction:
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def le_sqrt(x: Fraction, s: Fraction) -> bool:
-    """Exact test x <= sqrt(s) for s >= 0."""
-    if x <= 0:
-        return True
-    return x * x <= s
-
-
-def lt_sqrt(x: Fraction, s: Fraction) -> bool:
-    """Exact test x < sqrt(s) for s >= 0."""
-    if x < 0:
-        return True
-    return x * x < s
-
-
-def sqrt_le(s: Fraction, x: Fraction) -> bool:
-    """Exact test sqrt(s) <= x for s >= 0."""
-    if x < 0:
-        return False
-    return s <= x * x
 
 
 def floor_ratio_sqrt(a: Fraction, b: Fraction) -> int:

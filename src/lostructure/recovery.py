@@ -292,7 +292,7 @@ def recover(
         flags.append(FLAG_NO_INFORMATION)
 
     mstar = levy_measure_star(a)
-    wit = beta(mstar, delta, r, m, mode="auto")
+    wit = beta(mstar, delta, r, m)
     if wit.value > n_prime:
         flags.append(FLAG_WINDOW_VIOLATED)
 
@@ -745,26 +745,3 @@ def log_rank_construct(
         a.n - n_prime,
     )
     return P, report
-
-
-def log_rank_construct_multid(
-    a: WeightVector,
-    F: DiscreteDistribution,
-    taus: Sequence,
-    kappas: Sequence,
-    deltas: Sequence,
-    config: Optional[RunConfig] = None,
-) -> tuple[Gap, list[LogRankReport]]:
-    """Product of per-coordinate greedy constructions, block generators."""
-    cfg = config or RunConfig()
-    parts: list[Gap] = []
-    reports: list[LogRankReport] = []
-    for j in range(a.dim):
-        if a.coordinate_is_zero(j):
-            parts.append(zero_gap(1))
-            continue
-        Fj = F.marginal(j) if F.dim > 1 else F
-        Pj, rep = log_rank_construct(a.coordinate(j), Fj, taus[j], kappas[j], deltas[j], cfg)
-        parts.append(Pj)
-        reports.append(rep)
-    return _product_gap(parts, a.dim), reports

@@ -112,10 +112,6 @@ class TestBetaRankTwo:
         assert res.exactness == UPPER_BOUND
         assert res.witness.lattice_size() <= 9
 
-    def test_exact_mode_refused(self):
-        with pytest.raises(UnsupportedRank):
-            beta(star([1, 2]), 0, 2, 9, mode="exact")
-
 
 class TestBetaValidation:
     def test_rank_range(self):
@@ -131,10 +127,6 @@ class TestBetaValidation:
     def test_tau_sign(self):
         with pytest.raises(ValueError):
             beta(star([1]), -1, 1, 3)
-
-    def test_mode_names(self):
-        with pytest.raises(ValueError):
-            beta(star([1]), 0, 1, 3, mode="bogus")
 
 
 @st.composite
@@ -288,6 +280,21 @@ class TestCheckCpBound:
         assert a.lhs.mode == MODE_MC
         assert a.lhs.value == b.lhs.value
         assert 0 < a.lhs.value <= 1
+
+
+class TestJumpLawIsAMeasure:
+    @pytest.mark.parametrize(
+        "entries, tau, r, m",
+        [
+            ([1, 1, 2], 0, 0, 1),
+            ([10, 11, 29], 1, 1, 3),
+            ([1, 3, 3, 7], Fraction(1, 2), 1, 5),
+            ([1, 1, 10, 10, 10], 0, 2, 9),
+        ],
+    )
+    def test_law_and_measure_give_the_same_beta(self, entries, tau, r, m):
+        jump = CompoundPoissonSpec(weights_1d(entries), 1.0).normalized_jump_law()
+        assert beta(jump, tau, r, m) == beta(AtomicMeasure(1, jump.atoms), tau, r, m)
 
 
 class TestBoundLedger:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lostructure.beta import char_increment_slack
 from lostructure.concentration import (
     MODE_EXACT,
     MODE_MC,
@@ -185,16 +184,6 @@ class TestEsseenUpper:
             exact = float(conc_interval(F, tau).value)
             bound = esseen_upper(lambda t: complex(F.char_fn()(t)), float(tau))
             assert bound >= exact - 1e-9
-
-
-class TestCharIncrementSlack:
-    def test_true_char_fn_nonpositive(self):
-        phi = rademacher().char_fn()
-        ts = np.linspace(-3, 3, 9)
-        assert char_increment_slack(lambda t: complex(phi(t)), ts, ts) <= 1e-9
-
-    def test_violation_detected(self):
-        assert char_increment_slack(lambda t: 1.0 + t, [0.0], [1.0]) > 0
 
 
 class TestReductionPairs:

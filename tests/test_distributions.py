@@ -7,6 +7,7 @@ closed form exp(-2*mu) * I0(2*mu), evaluated independently with mpmath.
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lostructure import distributions
 from lostructure.distributions import (
     AtomicMeasure,
     CompoundPoissonSpec,
@@ -113,9 +115,6 @@ class TestWeightVector:
         a = WeightVector(2, ((1, 0), (-2, 0), (1, 0)))
         assert a.coordinate_is_zero(1)
         assert not a.coordinate_is_zero(0)
-
-    def test_sorted_abs_desc(self):
-        assert weights_1d([1, -3, 2]).sorted_abs_desc() == [3, 2, 1]
 
     def test_json_round_trip(self):
         a = WeightVector(2, ((Fraction(1, 3), 2), (0, -1)))
@@ -379,6 +378,21 @@ class TestPointMassAtZero:
         floor = skellam_zero(1.0) ** 2
         assert got > floor
 
+    def test_cap_raises_before_a_group_product_is_built(self, monkeypatch):
+        # about 211 x 211 entries for the second group; the cap is 1,000
+        import scipy.stats  # noqa: F401 - keep the import out of the measurement
+
+        monkeypatch.setattr(distributions, "DEFAULT_ATOM_CAP", 1000)
+        a = weights_1d([1, 1000, 10**6])
+        tracemalloc.start()
+        try:
+            with pytest.raises(AtomCapExceeded):
+                h_point_mass_zero(a, 400.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 # ---------------------------------------------------------------------------
 # Multiplicity table: the per-entry implementations it replaced, kept as
@@ -485,6 +499,36 @@ def atomic_measures(draw):
     values = draw(st.lists(vectors(dim), max_size=6, unique=True))
     masses = st.fractions(min_value=Fraction(1, 8), max_value=10, max_denominator=8)
     return AtomicMeasure(dim, tuple((v, draw(masses)) for v in values))
+
+
+class TestOneMeasureType:
+    def test_law_is_an_atomic_measure(self):
+        F = rademacher()
+        assert isinstance(F, AtomicMeasure)
+        assert F.total == 1
+        assert F.scalar_atoms() == [(Fraction(-1), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))]
+
+    def test_law_json_is_unchanged(self):
+        assert rademacher().to_json_dict() == {"dim": 1, "atoms": [[["-1"], "1/2"], [["1"], "1/2"]]}
+
+    def test_measure_json_has_no_total(self):
+        M = levy_measure_star(weights_1d([1, 2]))
+        assert set(M.to_json_dict()) == {"dim", "atoms"}
+
+    def test_measure_json_with_total_loads(self):
+        d = {"dim": 1, "atoms": [[["-1"], "2"], [["1"], "2"]], "total": "4"}
+        assert AtomicMeasure.from_json_dict(d) == levy_measure_star(weights_1d([1, 1]))
+
+    def test_from_json_keeps_the_type(self):
+        d = rademacher().to_json_dict()
+        assert type(DiscreteDistribution.from_json_dict(d)) is DiscreteDistribution
+        assert type(AtomicMeasure.from_json_dict(d)) is AtomicMeasure
+        with pytest.raises(ValueError):
+            DiscreteDistribution.from_json_dict(levy_measure_star(weights_1d([1])).to_json_dict())
+
+    def test_dim_checked(self):
+        with pytest.raises(ValueError):
+            AtomicMeasure(0, ())
 
 
 class TestJsonRoundTrip:

@@ -15,14 +15,11 @@ from lostructure.rational import (
     format_fraction,
     hnf_basis,
     lattice_coefficients,
-    le_sqrt,
-    lt_sqrt,
     max_norm,
     norm_sq,
     rank_over_q,
     reduce_basis,
     solve_square,
-    sqrt_le,
     to_fraction,
     to_vec,
 )
@@ -83,22 +80,6 @@ class TestNorms:
 
 
 class TestSqrtComparisons:
-    def test_le_sqrt_boundary_exact(self):
-        assert le_sqrt(Fraction(3), Fraction(9))
-        assert not le_sqrt(Fraction(3), Fraction(8))
-        assert le_sqrt(Fraction(-1), Fraction(0))
-
-    def test_lt_sqrt(self):
-        assert not lt_sqrt(Fraction(3), Fraction(9))
-        assert lt_sqrt(Fraction(3), Fraction(10))
-        assert lt_sqrt(Fraction(-1), Fraction(0))
-
-    def test_sqrt_le(self):
-        assert sqrt_le(Fraction(9), Fraction(3))
-        assert not sqrt_le(Fraction(10), Fraction(3))
-        assert sqrt_le(Fraction(0), Fraction(0))
-        assert not sqrt_le(Fraction(1), Fraction(-1))
-
     def test_floor_ratio_sqrt_values(self):
         assert floor_ratio_sqrt(Fraction(10), Fraction(4)) == 5
         assert floor_ratio_sqrt(Fraction(10), Fraction(3)) == 5

@@ -29,7 +29,6 @@ from lostructure.recovery import (
     RecoveryParams,
     _greedy_candidates,
     log_rank_construct,
-    log_rank_construct_multid,
     make_params,
     recover,
     recover_multid,
@@ -396,13 +395,6 @@ class TestLogRank:
         a2 = WeightVector(2, ((Fraction(1), Fraction(1)),))
         with pytest.raises(ValueError):
             log_rank_construct(a2, rademacher(), 0, 1, 0)
-
-    def test_product_construction(self):
-        a = WeightVector(2, ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(3))))
-        P, reps = log_rank_construct_multid(a, rademacher(), [0, 0], [1, 1], [0, 0])
-        assert P.rank == 3 and len(reps) == 2
-        for g in P.generators:
-            assert sum(1 for x in g if x != 0) == 1
 
 
 def log_rank_loop_per_entry(a, d, cfg, rank_budget=12):
