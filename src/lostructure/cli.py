@@ -89,7 +89,7 @@ def _load_cfg(args) -> RunConfig:
             return load_config(args.config)
     try:
         return calibrated_config()
-    except Exception:  # noqa: BLE001 - data file may be absent before calibration
+    except FileNotFoundError:  # absent before calibration
         return RunConfig()
 
 

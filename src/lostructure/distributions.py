@@ -18,6 +18,7 @@ for the law it returns.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -247,13 +248,10 @@ class CompoundPoissonSpec:
 
 
 def symmetrize(F: DiscreteDistribution) -> DiscreteDistribution:
-    """Law of X1 - X2 for X1, X2 i.i.d. with law F."""
-    acc: dict[Vec, Fraction] = {}
-    for v1, m1 in F.atoms:
-        for v2, m2 in F.atoms:
-            key = tuple(c1 - c2 for c1, c2 in zip(v1, v2))
-            acc[key] = acc.get(key, Fraction(0)) + m1 * m2
-    return DiscreteDistribution(F.dim, tuple(acc.items()))
+    """Law of X1 - X2 for X1, X2 i.i.d. with law F: the weighted sum with
+    entries 1 and -1.  F must be one-dimensional (ValueError otherwise),
+    and a support above DEFAULT_ATOM_CAP raises AtomCapExceeded."""
+    return weighted_sum_law(F, WeightVector(1, ((1,), (-1,))))
 
 
 def tail_mass(G: DiscreteDistribution, delta) -> Fraction:
@@ -267,8 +265,8 @@ def tail_mass(G: DiscreteDistribution, delta) -> Fraction:
 
 
 def _convolve(A: dict[IntVec, int], B: dict[IntVec, int], atom_cap: int) -> dict[IntVec, int]:
-    """Product of two integer laws; the cap is checked after each row, so an
-    oversized product raises once it passes the cap, not after it is built."""
+    """Product of two laws keyed on an integer grid; the cap is checked after
+    each row, so an oversized product raises once it passes the cap, not after it is built."""
     out: dict[IntVec, int] = {}
     rows = list(B.items())
     for ka, ma in A.items():
@@ -383,40 +381,38 @@ def h_point_mass_zero(a: WeightVector, lam: float) -> float:
     Entries of equal magnitude pool their rates; each pooled difference
     count is truncated once its two-sided pmf captures all but its share of
     _H_MASS_TOL, so the returned value underestimates by at most that in
-    total.  AtomCapExceeded when the support outgrows DEFAULT_ATOM_CAP.
+    total.  The pmfs are folded by `_convolve` on the entries' integer grid;
+    AtomCapExceeded when the support outgrows DEFAULT_ATOM_CAP.
     """
-    from scipy.stats import skellam
-
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     if lam == 0:
         return 1.0
     groups: dict[Vec, int] = {}
     for e, mult in a.counts:
-        if all(c == 0 for c in e):
-            continue
-        key = min(e, tuple(-c for c in e))  # +-v generate the same jump law
-        groups[key] = groups.get(key, 0) + mult
+        if any(e):
+            key = min(e, tuple(-c for c in e))  # +-v generate the same jump law
+            groups[key] = groups.get(key, 0) + mult
     if not groups:
         return 1.0
+    from scipy.stats import skellam
+
     per_group_tol = _H_MASS_TOL / len(groups)
-    acc: dict[Vec, float] = {(Fraction(0),) * a.dim: 1.0}
-    for e, mult in sorted(groups.items()):
+    pooled = sorted(groups.items())
+    _, cs = common_grid(c for e, _ in pooled for c in e)
+    zero = (0,) * a.dim
+    acc: dict[IntVec, float] = {zero: 1.0}
+    for i, (_, mult) in enumerate(pooled):
+        e = cs[i * a.dim : (i + 1) * a.dim]
         mu = mult * lam / 4.0
-        pmf = [(0, float(skellam.pmf(0, mu, mu)))]
-        covered = pmf[0][1]
+        covered = float(skellam.pmf(0, mu, mu))
+        pmf = {zero: covered}
         j = 1
         while covered < 1.0 - per_group_tol:
             pj = float(skellam.pmf(j, mu, mu))
-            pmf.append((j, pj))
-            pmf.append((-j, pj))
+            pmf[tuple(j * c for c in e)] = pj
+            pmf[tuple(-j * c for c in e)] = pj
             covered += 2.0 * pj
             j += 1
-        nxt: dict[Vec, float] = {}
-        for v, p in acc.items():
-            for k, pk in pmf:
-                key = tuple(c + k * ec for c, ec in zip(v, e))
-                nxt[key] = nxt.get(key, 0.0) + p * pk
-            # checked per row, as in _convolve: supports only grow
-            if len(nxt) > DEFAULT_ATOM_CAP:
-                raise AtomCapExceeded(f"truncated support grew to {len(nxt)} (cap {DEFAULT_ATOM_CAP})")
-        acc = nxt
-    return acc.get((Fraction(0),) * a.dim, 0.0)
+        acc = _convolve(acc, pmf, DEFAULT_ATOM_CAP)
+    return acc.get(zero, 0.0)

@@ -702,7 +702,7 @@ def log_rank_construct(
         pts = tuple(sorted(img))
         return [(w, mult) for w, mult in weights if not near(pts, w, d)]
 
-    rank_budget = min(rank_budget, int(math.log(cfg.enum_cap, 3)))
+    rank_budget = min(rank_budget, next(r for r in itertools.count() if 3 ** (r + 1) > cfg.enum_cap))
     residual = uncovered()
     while residual and len(gens) < rank_budget:
         best = None

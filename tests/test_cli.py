@@ -1,12 +1,14 @@
 """Drive the CLI through main(argv) and check outputs, files, exit codes."""
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
+from lostructure import cli
 from lostructure.cli import main
-from lostructure.config import config_from_dict
+from lostructure.config import RunConfig, config_from_dict
 from lostructure.distributions import (
     from_scalar_atoms,
     levy_measure_star,
@@ -280,6 +282,21 @@ class TestGlobalFlags:
         capsys.readouterr()
         with pytest.raises(EnumerationCapExceeded):
             main(["--config", cp, "gap", "image", gap])
+
+    def test_missing_calibration_falls_back_to_defaults(self, monkeypatch):
+        def absent():
+            raise FileNotFoundError("calibrated.json")
+
+        monkeypatch.setattr(cli, "calibrated_config", absent)
+        assert cli._load_cfg(argparse.Namespace(config=None)) == RunConfig()
+
+    def test_corrupt_calibration_is_not_hidden(self, monkeypatch):
+        def corrupt():
+            raise ValueError("bad calibrated.json")
+
+        monkeypatch.setattr(cli, "calibrated_config", corrupt)
+        with pytest.raises(ValueError, match="bad calibrated.json"):
+            cli._load_cfg(argparse.Namespace(config=None))
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

@@ -477,6 +477,115 @@ class TestMultiplicityTable:
 
 
 # ---------------------------------------------------------------------------
+# One convolution kernel: symmetrize and h_point_mass_zero as they were
+# before both ran on _convolve, kept as oracles.
+# ---------------------------------------------------------------------------
+
+
+def symmetrize_double_loop(F):
+    """Law of X1 - X2 for X1, X2 i.i.d. with law F."""
+    acc = {}
+    for v1, m1 in F.atoms:
+        for v2, m2 in F.atoms:
+            key = tuple(c1 - c2 for c1, c2 in zip(v1, v2))
+            acc[key] = acc.get(key, Fraction(0)) + m1 * m2
+    return DiscreteDistribution(F.dim, tuple(acc.items()))
+
+
+def h_point_mass_zero_fraction_keys(a, lam):
+    """P(H^lam = 0) with one Fraction-keyed loop per pooled group."""
+    from scipy.stats import skellam
+
+    cap = distributions.DEFAULT_ATOM_CAP
+    if lam == 0:
+        return 1.0
+    groups = {}
+    for e, mult in a.counts:
+        if all(c == 0 for c in e):
+            continue
+        key = min(e, tuple(-c for c in e))
+        groups[key] = groups.get(key, 0) + mult
+    if not groups:
+        return 1.0
+    per_group_tol = distributions._H_MASS_TOL / len(groups)
+    acc = {(Fraction(0),) * a.dim: 1.0}
+    for e, mult in sorted(groups.items()):
+        mu = mult * lam / 4.0
+        pmf = [(0, float(skellam.pmf(0, mu, mu)))]
+        covered = pmf[0][1]
+        j = 1
+        while covered < 1.0 - per_group_tol:
+            pj = float(skellam.pmf(j, mu, mu))
+            pmf.append((j, pj))
+            pmf.append((-j, pj))
+            covered += 2.0 * pj
+            j += 1
+        nxt = {}
+        for v, p in acc.items():
+            for k, pk in pmf:
+                key = tuple(c + k * ec for c, ec in zip(v, e))
+                nxt[key] = nxt.get(key, 0.0) + p * pk
+            if len(nxt) > cap:
+                raise AtomCapExceeded(f"truncated support grew to {len(nxt)} (cap {cap})")
+        acc = nxt
+    return acc.get((Fraction(0),) * a.dim, 0.0)
+
+
+mixed_fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def mixed_laws(draw):
+    """One-dimensional laws whose values and masses have mixed denominators;
+    one atom gives a point mass, equal weights give tied atoms."""
+    values = draw(st.lists(mixed_fractions, min_size=1, max_size=6, unique=True))
+    weights = st.one_of(st.just(Fraction(1)), st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7))
+    ws = draw(st.lists(weights, min_size=len(values), max_size=len(values)))
+    return from_scalar_atoms([(v, w / sum(ws)) for v, w in zip(values, ws)])
+
+
+def h_or_cap(fn, a, lam):
+    try:
+        return fn(a, lam)
+    except AtomCapExceeded:
+        return "cap"
+
+
+class TestOneConvolutionKernel:
+    @given(mixed_laws())
+    @example(point_mass(Fraction(2, 3)))
+    @example(uniform_on([0, 1, 2, Fraction(7, 5)]))
+    @example(from_scalar_atoms([(Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(5, 7))]))
+    def test_symmetrize_matches_double_loop(self, F):
+        got = symmetrize(F)
+        assert json.dumps(got.to_json_dict()) == json.dumps(symmetrize_double_loop(F).to_json_dict())
+
+    def test_symmetrize_requires_a_scalar_law(self):
+        with pytest.raises(ValueError):
+            symmetrize(uniform_on([(0, 0), (1, 1)]))
+
+    @given(
+        repeated_weight_vectors(max_values=3, max_mult=3),
+        st.sampled_from([0.0, 0.3, 2.0, 12.0]),
+        st.one_of(st.just(10**4), st.integers(1, 60)),
+    )
+    @example(_PINNED, 2.0, 10**4)
+    @example(weights_1d([1, -1, 3, 0, Fraction(1, 2)]), 12.0, 10**4)
+    @example(weights_1d([1, 1000, 10**6]), 40.0, 1000)
+    def test_h_point_mass_zero_matches_fraction_keys(self, a, lam, cap):
+        """Bit-identical floats: _convolve adds the same products in the
+        same order; the cap raises iff the oracle's does."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "DEFAULT_ATOM_CAP", cap)
+            assert h_or_cap(h_point_mass_zero, a, lam) == h_or_cap(h_point_mass_zero_fraction_keys, a, lam)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, -math.inf])
+    def test_h_point_mass_zero_rejects_lambda(self, lam):
+        with pytest.raises(ValueError):
+            h_point_mass_zero(weights_1d([1, 2]), lam)
+
+
+# ---------------------------------------------------------------------------
 # JSON round trips.
 # ---------------------------------------------------------------------------
 

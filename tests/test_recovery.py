@@ -397,6 +397,13 @@ class TestLogRank:
             log_rank_construct(a2, rademacher(), 0, 1, 0)
 
 
+    @pytest.mark.parametrize("enum_cap, r, n_prime", [(242, 4, 1), (243, 5, 0), (244, 5, 0)])
+    def test_rank_cap_is_the_largest_power_of_three_within_enum_cap(self, enum_cap, r, n_prime):
+        a = weights_1d([1, 10, 100, 1000, 10000])
+        _, rep = log_rank_construct(a, rademacher(), 0, 1, 0, RunConfig(enum_cap=enum_cap))
+        assert (rep.r, rep.n_prime) == (r, n_prime)
+
+
 def log_rank_loop_per_entry(a, d, cfg, rank_budget=12):
     """The greedy loop of log_rank_construct as it walked one weight per
     entry (the oracle): returns the generators and n'."""
