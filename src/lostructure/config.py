@@ -20,14 +20,9 @@ class Constants:
     """The hidden absolute constants, each defaulting to 1.0."""
 
     c_cp: float = 1.0  # concentration bound for exp(alpha(What - 1)) laws
-    c_sum: float = 1.0  # concentration bound for weighted sums via the cp bound
     c_window: float = 1.0  # truncation-window / size-budget constant in recovery
-    c_size_bar: float = 1.0  # size growth allowance after the sandwich step (report only)
-    c_size_proper: float = 1.0  # size growth allowance after proper embedding (report only)
-    c_size_tilde: float = 1.0  # size growth allowance for the final progression (report only)
     c_dilate: float = 1.0  # dilation exponent base for the final-embedding step
     c_logrank: float = 1.0  # rank and residual budget constant of the log-rank construction
-    c_esseen: float = 1.0  # constant of the characteristic-function upper bound
 
     def as_dict(self) -> dict[str, float]:
         return dataclasses.asdict(self)

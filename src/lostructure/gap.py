@@ -15,6 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .distributions import WeightVector
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .rational import (
     Vec,
+    _echelon,
     coerce_real,
     common_grid,
     dot,
@@ -35,7 +37,6 @@ from .rational import (
     max_norm,
     rank_over_q,
     reduce_basis,
-    solve_square,
     to_fraction,
     to_vec,
 )
@@ -48,42 +49,56 @@ DEFAULT_ENUM_CAP = 10**6
 # ---------------------------------------------------------------------------
 
 
-def _vertex_bound(rank: int, constraints) -> tuple[Fraction, ...]:
+def _within(rows, x, factor=1) -> bool:
+    """|<U, x>| <= factor * B on every integer constraint row (U, B)."""
+    return all(abs(sum(map(mul, U, x))) <= factor * B for U, B in rows)
+
+
+def _box(bounds: Sequence, enum_cap: int, what: str):
+    """The integer m with |m_j| <= floor(bound_j), in sorted (product) order;
+    raises EnumerationCapExceeded at the call when they exceed enum_cap."""
+    lims = [math.floor(b) for b in bounds]
+    count = math.prod(2 * lim + 1 for lim in lims)
+    if count > enum_cap:
+        raise EnumerationCapExceeded(f"{what} box size {count} exceeds cap {enum_cap}")
+    return itertools.product(*(range(-lim, lim + 1) for lim in lims))
+
+
+def _vertex_bound(rank: int, rows) -> tuple[Fraction, ...]:
     """Outer bounding box from vertex enumeration.
 
-    A symmetric polytope |<u_i, x>| <= b_i is bounded iff the normals span
+    A symmetric polytope |<U_i, x>| <= B_i is bounded iff the normals span
     R^rank; then every coordinate extreme is attained at an intersection of
-    rank constraint hyperplanes, which we enumerate exactly.
+    rank constraint hyperplanes, each eliminated fraction-free on [U | +-B]
+    to integer numerators X over the determinant on every row's diagonal.
     """
     if rank == 0:
         return ()
-    normals = [u for u, _ in constraints]
-    if rank_over_q(normals) < rank:
+    if len(_echelon([U for U, _ in rows])[1]) < rank:
         raise ValueError("polytope is unbounded (constraint normals do not span)")
+    solves = math.comb(len(rows), rank) * 2 ** (rank - 1)
+    if solves > DEFAULT_ENUM_CAP:
+        raise EnumerationCapExceeded(f"vertex enumeration needs {solves} solves (cap {DEFAULT_ENUM_CAP})")
     best = [Fraction(0)] * rank
-    idx = range(len(constraints))
-    for subset in itertools.combinations(idx, rank):
-        rows = [constraints[i][0] for i in subset]
+    for subset in itertools.combinations(rows, rank):
         for signs in itertools.product((1, -1), repeat=rank - 1):
-            rhs = [constraints[subset[0]][1]] + [
-                s * constraints[subset[k + 1]][1] for k, s in enumerate(signs)
-            ]
-            x = solve_square(rows, rhs)
-            if x is None:
+            mat, pivots = _echelon([[*U, s * B] for (U, B), s in zip(subset, (1, *signs))])
+            if pivots != list(range(rank)):
                 continue
-            if all(abs(dot(u, x)) <= b for u, b in constraints):
-                for j in range(rank):
-                    if abs(x[j]) > best[j]:
-                        best[j] = abs(x[j])
+            det, X = abs(mat[0][0]), [r[rank] for r in mat]
+            if _within(rows, X, det):
+                best = [max(bj, Fraction(abs(xj), det)) for bj, xj in zip(best, X)]
     return tuple(best)
 
 
 @dataclasses.dataclass(frozen=True)
 class SymmetricPolytope:
-    """{x in R^rank : |<u_i, x>| <= b_i for all i}, with b_i > 0."""
+    """{x in R^rank : |<u_i, x>| <= b_i for all i}, with b_i > 0.  Queries
+    read the integer rows (U, B) = G * (u, b), G > 0 the row's common grid."""
 
     rank: int
     constraints: tuple[tuple[Vec, Fraction], ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...] = dataclasses.field(init=False, repr=False, compare=False)
     bounding_box: tuple[Fraction, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,15 +116,18 @@ class SymmetricPolytope:
         object.__setattr__(self, "constraints", tuple(cons))
         if self.rank > 0 and not cons:
             raise ValueError("a positive-rank polytope needs constraints to be bounded")
-        object.__setattr__(self, "bounding_box", _vertex_bound(self.rank, self.constraints))
+        grids = (common_grid([*u, b])[1] for u, b in cons)
+        object.__setattr__(self, "rows", tuple((tuple(U), B) for *U, B in grids))
+        object.__setattr__(self, "bounding_box", _vertex_bound(self.rank, self.rows))
 
     def contains(self, x: Sequence[Fraction]) -> bool:
-        return all(abs(dot(u, x)) <= b for u, b in self.constraints)
+        return self.contains_scaled(x, 1)
 
     def contains_scaled(self, x: Sequence[Fraction], factor) -> bool:
         """Membership in factor * V."""
-        f = to_fraction(factor)
-        return all(abs(dot(u, x)) <= f * b for u, b in self.constraints)
+        if len(x) != self.rank:
+            raise ValueError(f"expected a point of dimension {self.rank}, got {len(x)}")
+        return _within(self.rows, x, to_fraction(factor))
 
     def with_constraint(self, normal, bound) -> "SymmetricPolytope":
         return SymmetricPolytope(self.rank, self.constraints + ((to_vec(normal, self.rank), to_fraction(bound)),))
@@ -136,35 +154,19 @@ def interval_body(L) -> SymmetricPolytope:
 
 def box_body(bounds: Sequence) -> SymmetricPolytope:
     r = len(bounds)
-    cons = []
-    for j, b in enumerate(bounds):
-        normal = tuple(Fraction(int(i == j)) for i in range(r))
-        cons.append((normal, to_fraction(b)))
-    return SymmetricPolytope(r, tuple(cons))
+    return SymmetricPolytope(r, tuple((tuple(int(i == j) for i in range(r)), b) for j, b in enumerate(bounds)))
 
 
 def lattice_points(V: SymmetricPolytope, basis: Optional[Sequence[Sequence]] = None, enum_cap: int = DEFAULT_ENUM_CAP):
     """Points of the lattice inside V (closed constraints), sorted.
 
-    With basis=None the lattice is Z^rank and integer tuples are returned.
-    With a basis (list of rank rational vectors) the constraints are pulled
-    back to coefficient space, enumerated there, and mapped forward;
-    rational tuples are returned.
+    With basis=None the lattice is Z^rank and integer tuples are returned
+    in the box's product order.  With a basis (list of rank rational
+    vectors) the constraints are pulled back to coefficient space,
+    enumerated there, and mapped forward; rational tuples are returned.
     """
     if basis is None:
-        if V.rank == 0:
-            return [()]
-        counts = 1
-        ranges = []
-        for b in V.bounding_box:
-            lo = math.floor(b)
-            ranges.append(range(-lo, lo + 1))
-            counts *= 2 * lo + 1
-            if counts > enum_cap:
-                raise EnumerationCapExceeded(f"bounding box holds {counts}+ integer points (cap {enum_cap})")
-        out = [pt for pt in itertools.product(*ranges) if V.contains(pt)]
-        out.sort()
-        return out
+        return [pt for pt in _box(V.bounding_box, enum_cap, "lattice") if _within(V.rows, pt)]
     B = [to_vec(v, V.rank) for v in basis]
     if len(B) != V.rank:
         raise ValueError("basis must have exactly rank vectors")
@@ -173,9 +175,7 @@ def lattice_points(V: SymmetricPolytope, basis: Optional[Sequence[Sequence]] = N
         V.rank, tuple((tuple(dot(u, B[j]) for j in range(V.rank)), b) for u, b in V.constraints)
     )
     coeffs = lattice_points(pulled, None, enum_cap)
-    out = [tuple(sum((Fraction(m[j]) * B[j][i] for j in range(V.rank)), Fraction(0)) for i in range(V.rank)) for m in coeffs]
-    out.sort()
-    return out
+    return sorted(tuple(dot(m, col) for col in zip(*B)) for m in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +251,12 @@ def _image_table(P: Gap, enum_cap: int):
     Generator coordinates are put on their common grid so enumeration runs
     on int tuples.
     """
-    if vol(P) > enum_cap:
-        raise EnumerationCapExceeded(f"progression volume {vol(P)} exceeds cap {enum_cap}")
+    box = _box(P.dims, enum_cap, "progression")
     den, flat = common_grid(c for g in P.generators for c in g)
     gens = [flat[k : k + P.dim] for k in range(0, len(flat), P.dim)]
-    ranges = [range(-math.floor(L), math.floor(L) + 1) for L in P.dims]
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     collision = None
-    for m in itertools.product(*ranges):
+    for m in box:
         pt = tuple(sum(m[j] * gens[j][i] for j in range(P.rank)) for i in range(P.dim))
         if pt in table:
             if collision is None:
@@ -343,7 +341,7 @@ def zero_cgap() -> Cgap:
 
 def cgap_image(K: Cgap, enum_cap: int = DEFAULT_ENUM_CAP) -> set[Fraction]:
     pts = lattice_points(K.body, None, enum_cap)
-    return {sum((Fraction(m) * c for m, c in zip(nu, K.h)), Fraction(0)) for nu in pts}
+    return {dot(nu, K.h) for nu in pts}
 
 
 @dataclasses.dataclass(frozen=True)

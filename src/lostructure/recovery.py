@@ -502,7 +502,7 @@ def _fallback_gap(a: Optional[WeightVector], j: int, n: int, n_prime: int) -> tu
     """Sign-combination progression on the n - n' smallest weights."""
     if a is None:
         return None, None
-    vals = [e[j] for e in a.entries] if a.dim > 1 else [e[0] for e in a.entries]
+    vals = [e[j] for e in a.entries]
     order = sorted(range(n), key=lambda k: (-abs(vals[k]), k))
     tailed = [vals[k] for k in order[n_prime:]]
     if not tailed:
@@ -523,6 +523,8 @@ def _coordinate_schedules(
     """Per-coordinate loop of both schedules: the concentration floor, then
     base's window with q filled in, or the fallback progression when the
     window cannot hold (base is None)."""
+    if a is not None and (a.n != n or len(q_list) != a.dim):
+        raise ValueError("the weight vector must have n entries and one q per coordinate")
     out = []
     for j, qj in enumerate(q_list):
         qj = coerce_real(qj)

@@ -8,7 +8,7 @@ import pytest
 
 from lostructure import cli
 from lostructure.cli import main
-from lostructure.config import RunConfig, config_from_dict
+from lostructure.config import RunConfig, calibrated_config, config_from_dict
 from lostructure.distributions import (
     from_scalar_atoms,
     levy_measure_star,
@@ -350,6 +350,13 @@ class TestBadInput:
             config_from_dict(config)
         path = write_json(tmp_path, "cfg.json", config)
         self.assert_one_line_error(capsys, ["--config", path, "suite", "gap_laws"], "cfg.json", "TypeError")
+
+    def test_report_only_constants_are_ignored(self):
+        """A config that sets a report-only value loads as if it did not, and
+        the calibrated config holds only the four constants a computation reads."""
+        blob = {"constants": {"c_cp": 2.0, "c_sum": 3.0, "c_esseen": 3.0, "c_size_bar": 3.0}}
+        assert config_from_dict(blob) == config_from_dict({"constants": {"c_cp": 2.0}})
+        assert set(calibrated_config().constants.as_dict()) == {"c_cp", "c_window", "c_dilate", "c_logrank"}
 
     def test_gen_unknown_kind(self, capsys):
         """argparse rejects the kind: its usage and error line, exit code 2."""

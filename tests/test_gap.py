@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from lostructure import gap
 from lostructure.errors import EnumerationCapExceeded, LostructureError, SandwichNotFound, UnsupportedRank
 from lostructure.gap import (
     _canonical_sign,
+    _image_table,
     _max_multiple,
     _shrink_dims,
     Cgap,
@@ -48,7 +51,16 @@ from lostructure.gap import (
     zero_gap,
 )
 from lostructure.distributions import WeightVector, weights_1d
-from lostructure.rational import hnf_basis, lattice_coefficients, rank_over_q, reduce_basis, to_fraction
+from lostructure.rational import (
+    dot,
+    hnf_basis,
+    lattice_coefficients,
+    rank_over_q,
+    reduce_basis,
+    solve_square,
+    to_fraction,
+    to_vec,
+)
 from strategies import coords, repeated_weight_vectors, vectors
 
 rationals = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(9, 2)).filter(lambda x: x > 0)
@@ -682,3 +694,174 @@ class TestGapJsonRoundTrip:
     @given(gaps())
     def test_round_trip(self, P):
         assert Gap.from_json_dict(json.loads(json.dumps(P.to_json_dict()))) == P
+
+
+def reference_vertex_bound(rank, constraints):
+    """_vertex_bound as it solved each vertex with solve_square on Fraction
+    rows and tested every constraint in Fractions (oracle)."""
+    if rank == 0:
+        return ()
+    if rank_over_q([u for u, _ in constraints]) < rank:
+        raise ValueError("polytope is unbounded (constraint normals do not span)")
+    best = [Fraction(0)] * rank
+    for subset in itertools.combinations(range(len(constraints)), rank):
+        rows = [constraints[i][0] for i in subset]
+        for signs in itertools.product((1, -1), repeat=rank - 1):
+            rhs = [constraints[subset[0]][1]] + [s * constraints[subset[k + 1]][1] for k, s in enumerate(signs)]
+            x = solve_square(rows, rhs)
+            if x is None:
+                continue
+            if all(abs(dot(u, x)) <= b for u, b in constraints):
+                for j in range(rank):
+                    best[j] = max(best[j], abs(x[j]))
+    return tuple(best)
+
+
+def reference_contains_scaled(V, x, factor=1):
+    """contains / contains_scaled as a Fraction dot product per constraint
+    (oracle)."""
+    return all(abs(dot(u, x)) <= to_fraction(factor) * b for u, b in V.constraints)
+
+
+def reference_lattice_points(V, enum_cap):
+    """lattice_points(V) (basis=None) as a box loop with its own cap check
+    over the reference bounding box (oracle)."""
+    if V.rank == 0:
+        return [()]
+    counts = 1
+    ranges = []
+    for b in reference_vertex_bound(V.rank, V.constraints):
+        lo = math.floor(b)
+        ranges.append(range(-lo, lo + 1))
+        counts *= 2 * lo + 1
+        if counts > enum_cap:
+            raise EnumerationCapExceeded(f"bounding box holds {counts}+ integer points (cap {enum_cap})")
+    return sorted(pt for pt in itertools.product(*ranges) if reference_contains_scaled(V, pt))
+
+
+def reference_image_table(P, enum_cap):
+    """_image_table with its own volume check and product loop, uncached
+    (oracle)."""
+    if vol(P) > enum_cap:
+        raise EnumerationCapExceeded(f"progression volume {vol(P)} exceeds cap {enum_cap}")
+    den = math.lcm(*(c.denominator for g in P.generators for c in g))
+    gens = [[int(c * den) for c in g] for g in P.generators]
+    table, collision = {}, None
+    for m in itertools.product(*[range(-math.floor(L), math.floor(L) + 1) for L in P.dims]):
+        pt = tuple(sum(m[j] * gens[j][i] for j in range(P.rank)) for i in range(P.dim))
+        if pt in table:
+            if collision is None:
+                collision = (table[pt], m)
+        else:
+            table[pt] = m
+    return den, table, collision
+
+
+_normal_coords = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def polytope_cases(draw):
+    """(rank, constraints) at rank 1-3 with 1-5 constraints: normals with
+    negative and fractional coordinates, some parallel to the first (so the
+    normals may not span), and bounds b with b * G an integer or not, G the
+    normal's grid."""
+    r = draw(st.integers(1, 3))
+    normals = []
+    for _ in range(draw(st.integers(1, 5))):
+        if normals and draw(st.integers(0, 3)) == 0:
+            normals.append(tuple(draw(st.sampled_from([-2, Fraction(1, 2), 3])) * c for c in normals[0]))
+        else:
+            normals.append(draw(st.tuples(*[_normal_coords] * r).filter(any)))
+    cons = []
+    for u in normals:
+        G = math.lcm(*(c.denominator for c in u))
+        k = draw(st.integers(1, 9))
+        cons.append((u, Fraction(k, G) if draw(st.booleans()) else Fraction(k, draw(st.integers(1, 5)))))
+    return r, tuple(cons)
+
+
+def _box_count(box):
+    return math.prod(2 * math.floor(b) + 1 for b in box)
+
+
+class TestPolytopeReference:
+    """The integer constraint rows, their vertex elimination and the shared
+    box enumerator against the Fraction code they replaced."""
+
+    @given(polytope_cases())
+    @example((2, (((1, 0), 1),)))
+    @example((2, (((1, Fraction(-1, 2)), Fraction(3, 2)), ((Fraction(2, 3), 1), Fraction(5, 3)))))
+    @example((3, (((1, 1, 0), 2), ((0, 1, 1), 2), ((1, 0, 1), 2), ((1, -1, 1), Fraction(1, 2)))))
+    def test_bounding_box_and_lattice_points(self, case):
+        """Pinned: a rank-2 body with one constraint (unbounded), a body
+        with fractional normals and bounds on their grid, and a rank-3 body
+        with four constraints."""
+        rank, cons = case
+        try:
+            want = reference_vertex_bound(rank, tuple((to_vec(u), to_fraction(b)) for u, b in cons))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                SymmetricPolytope(rank, cons)
+            return
+        V = SymmetricPolytope(rank, cons)
+        assert V.bounding_box == want
+        count = _box_count(want)
+        for f in (lattice_points, reference_lattice_points):
+            with pytest.raises(EnumerationCapExceeded):
+                f(V, enum_cap=count - 1)
+        if count <= 4000:
+            assert lattice_points(V, enum_cap=count) == reference_lattice_points(V, count)
+
+    @given(polytope_cases(), st.data())
+    @example((2, (((1, Fraction(1, 2)), Fraction(3, 2)), ((0, 1), 4))), None)
+    def test_contains(self, case, data):
+        """Integer and rational points on, inside and outside a face, at
+        factors 1, 2 and 3/2.  Pinned: the integer point (1, 1) on the face
+        x + y/2 = 3/2."""
+        rank, cons = case
+        # unit normals make every drawn body bounded
+        cons += tuple((tuple(int(i == j) for i in range(rank)), 9) for j in range(rank))
+        V = SymmetricPolytope(rank, cons)
+        if data is None:
+            m, x, eps = (1, 1), (Fraction(1), Fraction(1)), Fraction(1)
+        else:
+            m = data.draw(st.tuples(*[st.integers(-6, 6)] * rank))
+            x = data.draw(st.tuples(*[_normal_coords] * rank))
+            eps = data.draw(st.fractions(min_value=Fraction(1, 100), max_value=1))
+        points = [m, x]
+        for u, b in V.constraints:
+            # x moved along u onto the face <u, y> = b, then just inside and outside it
+            y = tuple(c + (b - dot(u, x)) / dot(u, u) * uc for c, uc in zip(x, u))
+            points += [y, tuple(c - eps * uc for c, uc in zip(y, u)), tuple(c + eps * uc for c, uc in zip(y, u))]
+        for pt in points:
+            assert V.contains(pt) == reference_contains_scaled(V, pt)
+            for factor in (1, 2, Fraction(3, 2)):
+                assert V.contains_scaled(pt, factor) == reference_contains_scaled(V, pt, factor)
+
+    @given(gaps())
+    def test_image_table(self, P):
+        count = vol(P)
+        assert _image_table(P, count) == reference_image_table(P, count)
+        for f in (_image_table, reference_image_table):
+            with pytest.raises(EnumerationCapExceeded):
+                f(P, count - 1)
+
+    def test_one_cap_message(self):
+        """Both enumerators raise on the full box count, the rank-0 box of
+        one point included."""
+        with pytest.raises(EnumerationCapExceeded, match="^lattice box size 4004001 exceeds cap 100$"):
+            lattice_points(box_body([1000, 1000]), enum_cap=100)
+        with pytest.raises(EnumerationCapExceeded, match="^progression box size 4004001 exceeds cap 100$"):
+            size(gap_1d((1000, 1000), (1, 10**7)), enum_cap=100)
+        with pytest.raises(EnumerationCapExceeded, match="^lattice box size 1 exceeds cap 0$"):
+            lattice_points(SymmetricPolytope(0, ()), enum_cap=0)
+        assert lattice_points(SymmetricPolytope(0, ()), enum_cap=1) == [()]
+
+    def test_vertex_enumeration_is_capped(self, monkeypatch):
+        """C(k, rank) * 2^(rank - 1) vertex solves are checked against the
+        enumeration cap before the first one."""
+        monkeypatch.setattr(gap, "DEFAULT_ENUM_CAP", 100)
+        with pytest.raises(EnumerationCapExceeded, match="110 solves"):
+            SymmetricPolytope(2, tuple(((1, i), 5) for i in range(11)))
+        assert SymmetricPolytope(2, tuple(((1, i), 5) for i in range(10))).bounding_box

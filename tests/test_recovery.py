@@ -340,6 +340,19 @@ class TestZeroTauSchedule:
         with pytest.raises(TrivialCase):
             schedule_zero_tau(1, 1, 1, 1, 2, [HALF], 8, 0)
 
+    def test_weights_longer_than_n(self):
+        with pytest.raises(ValueError, match="n entries"):
+            schedule_zero_tau(1.0, 0.5, 0.1, 0.1, 10.0, [0.5], 10, 0.5, weights_1d([1, 2, 3]))
+
+    def test_weights_shorter_than_n(self):
+        with pytest.raises(ValueError, match="n entries"):
+            schedule_zero_tau(1.0, 0.5, 0.1, 0.1, 10.0, [0.5], 2, 0.5, weights_1d([1, 2, 3]))
+
+    def test_one_q_per_coordinate(self):
+        a = WeightVector(2, ((1, 2), (3, 4), (5, 6)))
+        with pytest.raises(ValueError, match="one q per coordinate"):
+            schedule_zero_tau(1.0, 0.5, 0.1, 0.1, 10.0, [0.5] * 3, 3, 0.5, a)
+
 
 class TestScaledTauSchedule:
     EPS = {"eps1": 1, "eps2": 1, "eps3": 0.4, "eps4": 1}
