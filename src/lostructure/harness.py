@@ -111,15 +111,41 @@ class Instance:
         return d
 
 
+def _pad_signal_outliers(
+    rng: random.Random, p: dict, d: int, gs: Sequence[Fraction], Hs: Sequence[Fraction], defaults: tuple
+) -> tuple[WeightVector, dict]:
+    """Rows in dimension d = len(gs): n_pad rows of 2g/n_pad, n_sig rows of
+    +-g with one seeded sign per coordinate and n_out rows of H, the counts
+    read from p with the given defaults.  Planted on the product of the
+    intervals {-g, 0, g}, with the H rows as outliers."""
+    n_pad, n_sig, n_out = (int(p.get(k, v)) for k, v in zip(("n_pad", "n_sig", "n_out"), defaults))
+    if d < 1 or len(gs) != d:
+        raise ValueError(f"need d >= 1 and exactly d entries in gs, got d={d} and {len(gs)}")
+    if min(n_pad, n_sig, n_out) < 0:
+        raise ValueError(f"counts must be nonnegative, got n_pad={n_pad}, n_sig={n_sig}, n_out={n_out}")
+    eps = tuple(2 * g / n_pad if n_pad else Fraction(0) for g in gs)
+    rows = [eps] * n_pad
+    rows += [tuple(g * rng.choice((-1, 1)) for g in gs) for _ in range(n_sig)]
+    rows += [tuple(Hs)] * n_out
+    planted = {
+        "gap": _product_gap([gap_1d([1], [g]) for g in gs], d),
+        "outliers": tuple(range(n_pad + n_sig, len(rows))),
+        "delta0": max(eps),
+    }
+    return WeightVector(d, tuple(rows)), planted
+
+
 def gen_planted(kind: str, params: Optional[dict] = None, seed: int = 0) -> Instance:
     """Deterministic planted instance of the requested family.
 
     ap            multiples g, 2g, ..., ng in a seeded random order.
     gap2          balanced +-1/0 combinations of two generic generators.
-    outliers      tiny pad + signal entries +-g + a few huge entries; the
+    outliers      product_d's shape at d = 1, with its own rules for g and H:
+                  tiny pad + signal entries +-g + a few huge entries; the
                   pad keeps the certified window estimate cheap.
     dense_random  unstructured rationals, no ground truth.
-    product_d     the outliers shape replicated per coordinate, d >= 2.
+    product_d     pad, signal and outlier rows in dimension d >= 1; gs needs
+                  exactly d entries.  A negative count is rejected.
     """
     p = dict(params or {})
     rng = random.Random(0xA5 * 1_000_003 + seed + (sum(map(ord, kind)) << 20))
@@ -151,23 +177,9 @@ def gen_planted(kind: str, params: Optional[dict] = None, seed: int = 0) -> Inst
         return Instance(f"gap2-{seed}-n{len(vals)}", weights_1d(vals), law, planted, seed)
     if kind == "outliers":
         g = to_fraction(p.get("g", 1)) * Fraction(1 + seed % 3, 1 + seed % 2)
-        n_pad = int(p.get("n_pad", 0))
-        n_sig = int(p.get("n_sig", 45))
-        n_out = int(p.get("n_out", 5))
         H = to_fraction(p.get("H", 10**5)) * g * (1 + Fraction(seed % 7, 101))
-        eps = 2 * g / n_pad if n_pad else Fraction(0)
-        entries = [eps] * n_pad
-        entries += [g * rng.choice((-1, 1)) for _ in range(n_sig)]
-        entries += [H] * n_out
-        outliers = tuple(range(n_pad + n_sig, n_pad + n_sig + n_out))
-        planted = {
-            "gap": Gap(1, 1, (Fraction(1),), ((g,),)),
-            "outliers": outliers,
-            "delta0": eps,
-        }
-        return Instance(
-            f"outliers-{seed}-n{len(entries)}", weights_1d(entries), law, planted, seed
-        )
+        weight, planted = _pad_signal_outliers(rng, p, 1, [g], [H], (0, 45, 5))
+        return Instance(f"outliers-{seed}-n{weight.n}", weight, law, planted, seed)
     if kind == "dense_random":
         n = int(p.get("n", 24))
         entries = []
@@ -178,29 +190,10 @@ def gen_planted(kind: str, params: Optional[dict] = None, seed: int = 0) -> Inst
         return Instance(f"dense-{seed}-n{n}", weights_1d(entries), law, None, seed)
     if kind == "product_d":
         d = int(p.get("d", 2))
-        n_pad = int(p.get("n_pad", 60))
-        n_sig = int(p.get("n_sig", 48))
-        n_out = int(p.get("n_out", 2))
         gs = [to_fraction(x) for x in p.get("gs", [1 + j + seed % 3 for j in range(d)])]
         Hs = [g * (10**5 + 137 * (seed % 91)) for g in gs]
-        eps = [2 * g / n_pad if n_pad else Fraction(0) for g in gs]
-        rows = [tuple(eps)] * n_pad
-        for _ in range(n_sig):
-            rows.append(tuple(gs[j] * rng.choice((-1, 1)) for j in range(d)))
-        rows += [tuple(Hs)] * n_out
-        outliers = tuple(range(n_pad + n_sig, n_pad + n_sig + n_out))
-        planted = {
-            "gap": _product_gap([gap_1d([1], [g]) for g in gs], d),
-            "outliers": outliers,
-            "delta0": max(eps) if n_pad else Fraction(0),
-        }
-        return Instance(
-            f"product-{seed}-d{d}-n{len(rows)}",
-            WeightVector(d, tuple(rows)),
-            law,
-            planted,
-            seed,
-        )
+        weight, planted = _pad_signal_outliers(rng, p, d, gs, Hs, (60, 48, 2))
+        return Instance(f"product-{seed}-d{d}-n{weight.n}", weight, law, planted, seed)
     raise ValueError(f"unknown instance kind {kind!r}; known: {', '.join(KINDS)}")
 
 

@@ -75,12 +75,6 @@ def max_norm(v) -> Fraction:
     return max((abs(c) for c in v), default=Fraction(0))
 
 
-def norm_sq(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v * v
-    return sum((c * c for c in v), Fraction(0))
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 

@@ -137,21 +137,6 @@ def _observe(
     return q, tail_mass(symmetrize(F), tau / kappa)
 
 
-def _window_floor_sq(params: RecoveryParams) -> Fraction:
-    """Exact square of the window's lower-bound expression.
-
-    n' is admissible iff (n' * p)^(r+1) >= this value; the square clears
-    the (r+1)-th root and the half-integer power of (r+1) so the test is
-    rational and scale-invariant.
-    """
-    c = Fraction(params.constants.c_window)
-    r = params.r
-    base = 4 * c ** (2 * (r + 1)) * Fraction(r + 1) ** (5 * r) / params.q**2
-    if params.tau > 0:
-        base *= (params.kappa / params.delta) ** 2
-    return base
-
-
 def select_m(params: RecoveryParams) -> int:
     """Lattice-size budget: floor of the target ratio plus one.
 
@@ -162,15 +147,16 @@ def select_m(params: RecoveryParams) -> int:
         raise ValueError("params must carry observed q and p_val")
     if params.p_val == 0:
         raise TrivialCase("the symmetrization puts no mass away from zero")
-    pn = params.p_val * params.n_prime
-    if pn ** (params.r + 1) < _window_floor_sq(params) or params.n_prime > params.n:
-        raise InvalidWindow(
-            f"n'={params.n_prime} outside the admissible window at r={params.r}"
-        )
-    c = Fraction(params.constants.c_window)
-    num = 2 * c ** (params.r + 1) / params.q
+    r = params.r
+    num = 2 * Fraction(params.constants.c_window) ** (r + 1) / params.q
     if params.tau > 0:
         num *= params.kappa / params.delta
+    pn = params.p_val * params.n_prime
+    # n' is admissible iff n'p >= (num * (r+1)^(5r/2))^(2/(r+1)); raising both
+    # sides to the power r + 1 clears the root and the half-integer power, so
+    # the test is exact and scale-invariant.
+    if pn ** (r + 1) < num * num * Fraction(r + 1) ** (5 * r):
+        raise InvalidWindow(f"n'={params.n_prime} outside the admissible window at r={r}")
     return floor_ratio_sqrt(num, pn) + 1
 
 
@@ -321,15 +307,15 @@ def recover(
         box = Cgap(big.rank, tuple(g[0] for g in big.generators), box_body(big.dims))
         K_star_star, tilde_P, dilations["tilde_sandwich"] = _truncate_and_sandwich(box, bound_sq, cfg.enum_cap)
 
-    img_star = cgap_image(K_star, cfg.enum_cap)
-    img_ss = cgap_image(K_star_star, cfg.enum_cap)
-    img_bar = image(bar_P, cfg.enum_cap)
-    img_bb = image(barbar_P, cfg.enum_cap)
-    img_tilde = image(tilde_P, cfg.enum_cap)
-
-    certs["K_star_in_bar_P"] = img_star <= img_bar
-    certs["K_star_in_barbar_P"] = img_star <= img_bb
-    certs["K_star_star_in_tilde_P"] = img_ss <= img_tilde
+    images = {
+        "K_star": cgap_image(K_star, cfg.enum_cap),
+        "K_star_star": cgap_image(K_star_star, cfg.enum_cap),
+        "bar_P": image(bar_P, cfg.enum_cap),
+        "barbar_P": image(barbar_P, cfg.enum_cap),
+        "tilde_P": image(tilde_P, cfg.enum_cap),
+    }
+    for inner, outer in (("K_star", "bar_P"), ("K_star", "barbar_P"), ("K_star_star", "tilde_P")):
+        certs[f"{inner}_in_{outer}"] = images[inner] <= images[outer]
     certs["barbar_P_proper"] = is_proper(barbar_P, cfg.enum_cap)
     certs["tilde_P_proper"] = is_proper(tilde_P, cfg.enum_cap)
     certs["bar_P_generator_norms"] = all(g[0] * g[0] <= gen_bound_sq for g in bar_P.generators)
@@ -337,20 +323,10 @@ def recover(
     if not all(certs.values()):
         flags.append(FLAG_CERTIFICATION_FAILED)
 
-    coverage = {
-        "K_star": coverage_count(img_star, delta, a),
-        "K_star_star": coverage_count(img_ss, delta, a),
-        "bar_P": coverage_count(img_bar, delta, a),
-        "barbar_P": coverage_count(img_bb, delta, a),
-        "tilde_P": coverage_count(img_tilde, delta, a),
-    }
+    coverage = {name: coverage_count(pts, delta, a) for name, pts in images.items()}
     sizes = {
         "m": m,
-        "K_star": len(img_star),
-        "K_star_star": len(img_ss),
-        "bar_P": len(img_bar),
-        "barbar_P": len(img_bb),
-        "tilde_P": len(img_tilde),
+        **{name: len(pts) for name, pts in images.items()},
         "K_star_lattice": K_star.lattice_size(cfg.enum_cap),
         "K_star_star_lattice": K_star_star.lattice_size(cfg.enum_cap),
     }

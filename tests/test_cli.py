@@ -344,6 +344,20 @@ class TestBadInput:
     def test_gen_params_value_rejected_by_generation(self, capsys, kind, text, fragment):
         self.assert_one_line_error(capsys, ["gen", "--kind", kind, "--params", text], "--params", fragment)
 
+    @pytest.mark.parametrize(
+        "kind, text, fragment",
+        [
+            ("product_d", '{"d": 3, "gs": [1, 2]}', "exactly d entries in gs, got d=3 and 2"),
+            ("product_d", '{"d": 2, "gs": [1, 2, 3]}', "exactly d entries in gs, got d=2 and 3"),
+            ("product_d", '{"d": 0}', "need d >= 1"),
+            ("outliers", '{"n_out": -1}', "counts must be nonnegative"),
+            ("outliers", '{"n_pad": -1}', "counts must be nonnegative"),
+            ("outliers", '{"n_sig": -3}', "counts must be nonnegative"),
+        ],
+    )
+    def test_gen_pad_signal_outlier_params_rejected(self, capsys, kind, text, fragment):
+        self.assert_one_line_error(capsys, ["gen", "--kind", kind, "--params", text], "ValueError", fragment)
+
     @pytest.mark.parametrize("config", [{"constants": None}, [1]])
     def test_config_not_an_object(self, tmp_path, capsys, config):
         with pytest.raises(TypeError, match="JSON objects"):

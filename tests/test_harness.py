@@ -1,6 +1,7 @@
 """Planted instances, window helpers, and the CSV reporting plumbing."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -82,6 +83,56 @@ class TestGenPlanted:
             assert gen_planted(kind).id
         with pytest.raises(ValueError, match=", ".join(KINDS)):
             gen_planted("mystery")
+
+
+# Small parameter sets per kind, seeds 0-6, and the sha256 of each kind's
+# sorted-key instance JSON: any change to what gen_planted builds shows here.
+PLANTED_GRID = {
+    "ap": ({}, {"g": Fraction(5, 2), "n": 12}),
+    "gap2": ({}, {"g1": 2, "g2": Fraction(7, 3), "copies": 2}),
+    "outliers": (
+        {},
+        {"g": Fraction(3, 2), "H": 1000, "n_pad": 0, "n_sig": 6, "n_out": 2},
+        {"n_pad": 8, "n_sig": 5, "n_out": 1},
+    ),
+    "dense_random": ({}, {"n": 7}),
+    "product_d": (
+        {},
+        {"d": 1, "n_pad": 4, "n_sig": 5, "n_out": 1},
+        {"d": 3, "gs": [1, Fraction(1, 2), 3], "n_pad": 3, "n_sig": 4, "n_out": 2},
+    ),
+}
+PLANTED_SHA256 = {
+    "ap": "7fac741454c52e92b7777b98e2469a36f8a2a3055a260eeb1024c0a79a25ccc3",
+    "gap2": "c3f9f7c5c9b2450f97ae2f2299adb910731b3ca9b0f54fc9a546603f4bfc9eb2",
+    "outliers": "2259fee03cc63dc31321aa4cbe4ab623e52066a9f768aa262d33575bd6633ce7",
+    "dense_random": "eb45ed3554c0aad0ce32e5ff1aaa8ad6e925116580b3c0f64d1eb7fc0d80a219",
+    "product_d": "4f09973954df44f1b9a5934a21edab2ab1b0d33577e6fc2c98cb50bd146aaff7",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_planted_instances_are_pinned(kind):
+    blob = [gen_planted(kind, p, seed).to_json_dict() for p in PLANTED_GRID[kind] for seed in range(7)]
+    digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+    assert digest == PLANTED_SHA256[kind]
+
+
+PAD_SIGNAL_OUTLIER_ERRORS = [
+    ("product_d", {"d": 3, "gs": [1, 2]}, "exactly d entries in gs"),
+    ("product_d", {"d": 2, "gs": [1, 2, 3]}, "exactly d entries in gs"),
+    ("product_d", {"d": 0}, "need d >= 1"),
+    ("product_d", {"n_out": -1}, "nonnegative"),
+    ("outliers", {"n_out": -1}, "nonnegative"),
+    ("outliers", {"n_pad": -1}, "nonnegative"),
+    ("outliers", {"n_sig": -3}, "nonnegative"),
+]
+
+
+@pytest.mark.parametrize("kind, params, fragment", PAD_SIGNAL_OUTLIER_ERRORS)
+def test_malformed_pad_signal_outlier_params(kind, params, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        gen_planted(kind, params)
 
 
 class TestInstanceValidation:

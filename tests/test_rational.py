@@ -16,7 +16,6 @@ from lostructure.rational import (
     hnf_basis,
     lattice_coefficients,
     max_norm,
-    norm_sq,
     rank_over_q,
     reduce_basis,
     solve_square,
@@ -68,10 +67,6 @@ class TestNorms:
         assert max_norm((Fraction(-3), Fraction(2))) == 3
         assert max_norm(Fraction(-5)) == 5
         assert max_norm(()) == 0
-
-    def test_norm_sq(self):
-        assert norm_sq((Fraction(1), Fraction(2))) == 5
-        assert norm_sq(Fraction(3)) == 9
 
     def test_dot_strict_lengths(self):
         assert dot((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))) == 11

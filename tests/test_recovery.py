@@ -130,6 +130,20 @@ class TestSelectM:
         scaled = RecoveryParams(HALF, 3 * lam, 6 * lam, 3 * lam, 1, 68, 100, Fraction(2, 3))
         assert select_m(base) == select_m(scaled) == 2
 
+    def test_rank_two_positive_window_boundary(self):
+        # the window at r = 2, tau > 0: (n'p)^3 >= 4 c^6 3^10 / q^2 (kappa/delta)^2,
+        # and m - 1 = floor(num / sqrt(n'p)) with num = 2 c^3 / q * kappa/delta
+        c, q, p, kappa, delta = Fraction(3, 2), HALF, HALF, Fraction(3), Fraction(1)
+        base = RecoveryParams(q, 2, kappa, delta, 2, 1, 5000, p, Constants(c_window=1.5))
+        n_prime = min_admissible_n_prime(base)
+        floor = 4 * c**6 * 3**10 / q**2 * (kappa / delta) ** 2
+        assert (n_prime * p) ** 3 >= floor > ((n_prime - 1) * p) ** 3
+        m = select_m(dataclasses.replace(base, n_prime=n_prime))
+        num = 2 * c**3 / q * kappa / delta
+        assert (m - 1) ** 2 * n_prime * p <= num**2 < m**2 * n_prime * p
+        with pytest.raises(InvalidWindow):
+            select_m(dataclasses.replace(base, n_prime=n_prime - 1))
+
 
 class TestRecoverZeroBranch:
     def test_all_entries_below_refinement(self):
