@@ -13,6 +13,10 @@ on the exactness of equality and ordering here.  Fractions are the API
 boundary: the law kernel puts values and masses on integer grids
 (``rational.common_grid``), computes on integers, and makes Fractions only
 for the law it returns.
+
+Public constructors validate everything they are given.  Laws, measures and
+weight vectors the library builds are canonical by construction and are not
+re-validated: they go through the private ``_from_canonical`` constructors.
 """
 
 from __future__ import annotations
@@ -61,6 +65,14 @@ class AtomicMeasure:
             raise ValueError("dim must be >= 1")
         object.__setattr__(self, "atoms", _canonical_atoms(self.atoms, self.dim))
 
+    @classmethod
+    def _from_canonical(cls, dim: int, atoms: tuple[tuple[Vec, Fraction], ...]):
+        """Atoms already canonical: sorted distinct Vec values, positive
+        Fraction masses (of total 1 for a law)."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(dim=dim, atoms=atoms)
+        return obj
+
     @property
     def total(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
@@ -108,7 +120,7 @@ class DiscreteDistribution(AtomicMeasure):
         for v, m in self.atoms:
             key = (v[j],)
             acc[key] = acc.get(key, Fraction(0)) + m
-        return DiscreteDistribution(1, tuple(acc.items()))
+        return DiscreteDistribution._from_canonical(1, tuple(sorted(acc.items())))
 
     def is_symmetric(self) -> bool:
         table = dict(self.atoms)
@@ -124,7 +136,7 @@ class DiscreteDistribution(AtomicMeasure):
 
 
 def from_scalar_atoms(pairs: Iterable) -> DiscreteDistribution:
-    return DiscreteDistribution(1, tuple((to_vec(v, 1), m) for v, m in pairs))
+    return DiscreteDistribution(1, tuple(pairs))
 
 
 def rademacher() -> DiscreteDistribution:
@@ -132,7 +144,7 @@ def rademacher() -> DiscreteDistribution:
 
 
 def point_mass(value, dim: int = 1) -> DiscreteDistribution:
-    return DiscreteDistribution(dim, ((to_vec(value, dim), Fraction(1)),))
+    return DiscreteDistribution(dim, ((value, 1),))
 
 
 def uniform_on(values) -> DiscreteDistribution:
@@ -166,6 +178,13 @@ class WeightVector:
         if all(all(c == 0 for c in e) for e, _ in self.counts):
             raise ValueError("weight vector must not be identically zero")
 
+    @classmethod
+    def _from_canonical(cls, dim: int, entries: tuple[Vec, ...], counts: tuple[tuple[Vec, int], ...]) -> "WeightVector":
+        """Vec entries, not all zero, and the counts __post_init__ would derive."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(dim=dim, entries=entries, counts=counts)
+        return obj
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -176,7 +195,12 @@ class WeightVector:
 
     def coordinate(self, j: int) -> "WeightVector":
         """Projection a^(j) as a one-dimensional weight vector (0-based j)."""
-        return WeightVector(1, tuple((e[j],) for e in self.entries))
+        if self.coordinate_is_zero(j):
+            raise ValueError("weight vector must not be identically zero")
+        counts: dict[Vec, int] = {}
+        for e, k in self.counts:
+            counts[(e[j],)] = counts.get((e[j],), 0) + k
+        return WeightVector._from_canonical(1, tuple((e[j],) for e in self.entries), tuple(counts.items()))
 
     def coordinate_is_zero(self, j: int) -> bool:
         return all(e[j] == 0 for e, _ in self.counts)
@@ -207,6 +231,9 @@ def weights_1d(values) -> WeightVector:
     return WeightVector(1, tuple((v,) for v in values))
 
 
+_PLUS_MINUS_ONE = weights_1d((1, -1))  # symmetrize's weight vector
+
+
 @dataclasses.dataclass(frozen=True)
 class CompoundPoissonSpec:
     """The symmetric compound-Poisson family built on a weight vector.
@@ -233,7 +260,7 @@ class CompoundPoissonSpec:
         """The probability measure W with What as above: star measure / 2n."""
         star = levy_measure_star(self.weight)
         n2 = Fraction(2 * self.weight.n)
-        return DiscreteDistribution(star.dim, tuple((v, m / n2) for v, m in star.atoms))
+        return DiscreteDistribution._from_canonical(star.dim, tuple((v, m / n2) for v, m in star.atoms))
 
     def char_fn(self, t) -> float:
         return char_fn_H(self.weight, t, self.lam)
@@ -251,7 +278,7 @@ def symmetrize(F: DiscreteDistribution) -> DiscreteDistribution:
     """Law of X1 - X2 for X1, X2 i.i.d. with law F: the weighted sum with
     entries 1 and -1.  F must be one-dimensional (ValueError otherwise),
     and a support above DEFAULT_ATOM_CAP raises AtomCapExceeded."""
-    return weighted_sum_law(F, WeightVector(1, ((1,), (-1,))))
+    return weighted_sum_law(F, _PLUS_MINUS_ONE)
 
 
 def tail_mass(G: DiscreteDistribution, delta) -> Fraction:
@@ -322,8 +349,11 @@ def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = D
         law = {tuple(x * c for c in e): m for x, m in zip(xs, ms)}
         acc = _convolve(acc, _convolution_power(law, mult, atom_cap), atom_cap)
     total = D ** sum(mult for _, mult in groups)
-    return DiscreteDistribution(
-        a.dim, tuple((tuple(Fraction(k, G) for k in key), Fraction(m, total)) for key, m in sorted(acc.items()))
+    if sum(acc.values()) != total:
+        raise ValueError("masses must sum to exactly 1")
+    # sorted distinct integer keys stay sorted and distinct over G > 0
+    return DiscreteDistribution._from_canonical(
+        dim, tuple((tuple(Fraction(k, G) for k in key), Fraction(m, total)) for key, m in sorted(acc.items()))
     )
 
 
@@ -333,12 +363,12 @@ def levy_measure_star(a: WeightVector) -> AtomicMeasure:
     for e, mult in a.counts:
         for v in (e, tuple(-c for c in e)):
             acc[v] = acc.get(v, 0) + mult
-    return AtomicMeasure(a.dim, tuple(acc.items()))
+    return AtomicMeasure._from_canonical(a.dim, tuple((v, Fraction(m)) for v, m in sorted(acc.items())))
 
 
 def levy_measure_plain(a: WeightVector) -> AtomicMeasure:
     """Atom measure with unit mass at each a_k (no reflection); total n."""
-    return AtomicMeasure(a.dim, a.counts)
+    return AtomicMeasure._from_canonical(a.dim, tuple((e, Fraction(k)) for e, k in sorted(a.counts)))
 
 
 def char_fn_H(a: WeightVector, t, lam: float) -> float:

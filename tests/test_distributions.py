@@ -661,3 +661,107 @@ class TestJsonRoundTrip:
     @given(atomic_measures())
     def test_atomic_measure(self, W):
         assert json_round_trip(W) == W
+
+
+# ---------------------------------------------------------------------------
+# Validate once, at the boundary: the library's own laws, measures and
+# weight vectors take the trusted constructors and must be exactly what the
+# validating constructors would make of the same input.
+# ---------------------------------------------------------------------------
+
+
+def assert_identical(got, want):
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def revalidated(M):
+    """M rebuilt by its public constructor from its atoms in reverse order."""
+    return type(M)(M.dim, tuple(reversed(M.atoms)))
+
+
+@st.composite
+def canonical_measures(draw):
+    """(cls, dim, canonical atoms, the same atoms shuffled with int, string
+    and Fraction coordinates), dim 1-2, zero values, mixed denominators."""
+    cls = draw(st.sampled_from([AtomicMeasure, DiscreteDistribution]))
+    dim = draw(st.sampled_from([1, 2]))
+    values = draw(st.lists(vectors(dim), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()) and (Fraction(0),) * dim not in values:
+        values.append((Fraction(0),) * dim)
+    masses = draw(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6),
+                           min_size=len(values), max_size=len(values)))
+    if cls is DiscreteDistribution:
+        masses = [m / sum(masses) for m in masses]
+    canonical = tuple(sorted(zip(values, masses)))
+    spelled = [(tuple(int(c) if c.denominator == 1 else str(c) for c in v), str(m)) for v, m in canonical]
+    return cls, dim, canonical, tuple(draw(st.permutations(spelled)))
+
+
+class TestTrustedConstructors:
+    @given(canonical_measures())
+    def test_measure_paths_agree(self, case):
+        cls, dim, canonical, raw = case
+        assert_identical(cls._from_canonical(dim, canonical), cls(dim, raw))
+
+    @given(repeated_weight_vectors(max_mult=4))
+    @example(_PINNED)
+    def test_weight_vector_paths_agree(self, a):
+        trusted = WeightVector._from_canonical(a.dim, a.entries, a.counts)
+        assert_identical(trusted, WeightVector(a.dim, a.entries))
+        assert trusted.counts == a.counts
+        for j in range(a.dim):
+            if a.coordinate_is_zero(j):
+                continue
+            got, want = a.coordinate(j), WeightVector(1, tuple((e[j],) for e in a.entries))
+            assert_identical(got, want)
+            assert got.counts == want.counts
+
+    @given(summand_laws(), weight_vectors())
+    @example(rademacher(), _PINNED)
+    def test_library_builders_are_canonical(self, F, a):
+        """Each builder's output equals its own atoms revalidated, so the
+        trusted path hands out sorted atoms with Fraction masses."""
+        law = weighted_sum_law(F, a)
+        built = [law, symmetrize(F), levy_measure_star(a), levy_measure_plain(a),
+                 CompoundPoissonSpec(a, 1.0).normalized_jump_law()]
+        built += [law.marginal(j) for j in range(law.dim)]
+        for M in built:
+            assert_identical(M, revalidated(M))
+
+    def test_hot_paths_skip_revalidation(self, monkeypatch):
+        F = uniform_on([0, 1, Fraction(5, 2)])
+        a = WeightVector(2, ((1, 0), (Fraction(1, 3), 2), (1, 0), (0, 0), (-1, 2)))
+        law = weighted_sum_law(F, a)
+        calls = [
+            lambda: weighted_sum_law(F, a),
+            lambda: symmetrize(F),
+            lambda: levy_measure_star(a),
+            lambda: law.marginal(1),
+            lambda: a.coordinate(0),
+            lambda: a.coordinate(1),
+        ]
+        want = [call() for call in calls]
+
+        def refuse(*args):
+            raise AssertionError("re-validated a library-built object")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(distributions, "_canonical_atoms", refuse)
+            mp.setattr(distributions, "to_vec", refuse)
+            for call, w in zip(calls, want):
+                assert_identical(call(), w)
+            with pytest.raises(AssertionError, match="re-validated"):
+                DiscreteDistribution(1, (((0,), 1),))  # the public path still validates
+        with pytest.raises(ValueError, match="duplicate"):
+            DiscreteDistribution(1, ((0, Fraction(1, 2)), ((0,), Fraction(1, 2))))
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            DiscreteDistribution(1, ((0, Fraction(1, 2)), (1, Fraction(1, 3))))
+
+    def test_coordinate_rejects_an_all_zero_projection(self):
+        a = WeightVector(2, ((1, 0), (-2, 0), (1, 0)))
+        assert a.coordinate(0).counts == (((Fraction(1),), 2), ((Fraction(-2),), 1))
+        with pytest.raises(ValueError, match="identically zero"):
+            a.coordinate(1)
