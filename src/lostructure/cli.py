@@ -4,9 +4,9 @@ Verbs: conc, gap, beta, check-bound, recover, gen, suite, calibrate.
 Inputs are JSON files using the same schemas as the to_json_dict methods;
 outputs are JSON on stdout or at --out.  --config points at a RunConfig
 JSON (default: the calibrated constants shipped with the package).
-An input file, --params or a rational flag (--tau, --t, --lam) that
-cannot be read or parsed ends with a one-line message on stderr and exit
-code 2.
+Exit codes: 0 ok; 1 flags, slack < 1 or a failed suite case; 2 an input
+file, --params or rational flag (--tau, --t, --lam) that cannot be parsed;
+3 a package error from run().  2 and 3 end with one line on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .distributions import (
     DiscreteDistribution,
     WeightVector,
 )
+from .errors import LostructureError
 from .gap import Gap, SymmetricPolytope, dilate, image, is_proper, mahler_sandwich, embed_proper, size
 from .harness import KINDS, SUITES, calibrate, gen_planted, report_csv, run_suite
 from .rational import format_fraction, to_fraction
@@ -46,6 +47,10 @@ class _InputError(Exception):
     """Malformed input: reported as one line on stderr, exit code 2."""
 
 
+def _one_line(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {' '.join(str(exc).split())}"
+
+
 @contextlib.contextmanager
 def _parsing(source: str):
     """Turn a failure to read or parse `source` into an _InputError.  Wraps
@@ -53,8 +58,7 @@ def _parsing(source: str):
     try:
         yield
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        detail = " ".join(str(exc).split())
-        raise _InputError(f"{source}: {type(exc).__name__}: {detail}") from exc
+        raise _InputError(f"{source}: {_one_line(exc)}") from exc
 
 
 def _flag(name: str, text: str) -> Fraction:
@@ -361,5 +365,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> None:
+    """Console entry point: main(), with a package error (main() raises it)
+    reported as one line on stderr and exit code 3."""
+    try:
+        sys.exit(main(argv))
+    except LostructureError as exc:
+        print(f"lostructure: {_one_line(exc)}", file=sys.stderr)
+        sys.exit(3)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,7 +12,10 @@ Everything downstream (window sweeps, properness, witness searches) relies
 on the exactness of equality and ordering here.  Fractions are the API
 boundary: the law kernel puts values and masses on integer grids
 (``rational.common_grid``), computes on integers, and makes Fractions only
-for the law it returns.
+for the law it returns.  Grid vectors lie on one packed integer axis
+(Kronecker substitution): v is keyed by sum_i v_i * R^(dim-1-i), with
+balanced digits, R = 2B + 1 and B the largest coordinate any partial sum
+reaches, so keys add like the vectors and sort like their tuples.
 
 Public constructors validate everything they are given.  Laws, measures and
 weight vectors the library builds are canonical by construction and are not
@@ -26,7 +29,6 @@ import math
 import warnings
 from collections import Counter
 from fractions import Fraction
-from operator import add
 from typing import Callable, Iterable
 
 import numpy as np
@@ -36,7 +38,6 @@ from .rational import Vec, common_grid, format_fraction, max_norm, to_fraction, 
 
 DEFAULT_ATOM_CAP = 10**6
 _H_MASS_TOL = 1e-12  # mass h_point_mass_zero may drop from its truncated pmfs
-IntVec = tuple[int, ...]  # a value on an integer grid
 
 
 def _canonical_atoms(pairs: Iterable, dim: int) -> tuple[tuple[Vec, Fraction], ...]:
@@ -291,21 +292,29 @@ def tail_mass(G: DiscreteDistribution, delta) -> Fraction:
     return sum((m for v, m in G.atoms if max_norm(v) > d), Fraction(0))
 
 
-def _convolve(A: dict[IntVec, int], B: dict[IntVec, int], atom_cap: int) -> dict[IntVec, int]:
-    """Product of two laws keyed on an integer grid; the cap is checked after
+def _pack_groups(cs: list[int], dim: int, reach: list[int]) -> tuple[int, list[int]]:
+    """(R, each group entry's packed key) for entries cs of dim integers each,
+    a partial sum holding entry g at most reach[g] times in absolute value."""
+    R = 2 * max(sum(r * abs(cs[g * dim + i]) for g, r in enumerate(reach)) for i in range(dim)) + 1
+    entries = (cs[g * dim : (g + 1) * dim] for g in range(len(reach)))
+    return R, [sum(c * R ** (dim - 1 - i) for i, c in enumerate(e)) for e in entries]
+
+
+def _convolve(A: dict[int, int], B: dict[int, int], atom_cap: int) -> dict[int, int]:
+    """Product of two laws keyed on the packed axis; the cap is checked after
     each row, so an oversized product raises once it passes the cap, not after it is built."""
-    out: dict[IntVec, int] = {}
+    out: dict[int, int] = {}
     rows = list(B.items())
     for ka, ma in A.items():
         for kb, mb in rows:
-            k = tuple(map(add, ka, kb))
+            k = ka + kb
             out[k] = out.get(k, 0) + ma * mb
         if len(out) > atom_cap:
             raise AtomCapExceeded(f"support grew to {len(out)} atoms (cap {atom_cap})")
     return out
 
 
-def _convolution_power(law: dict[IntVec, int], k: int, atom_cap: int) -> dict[IntVec, int]:
+def _convolution_power(law: dict[int, int], k: int, atom_cap: int) -> dict[int, int]:
     """law^(*k), k >= 1, by repeated squaring."""
     result = None
     while True:
@@ -323,11 +332,12 @@ def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = D
     Integer kernel: the atoms x of F sit on their common grid of scale Gx,
     the entry coordinates c on theirs of scale Gc, so every product x * c
     is an integer on the grid of scale G = Gx * Gc, and every mass of F is
-    an integer over D, the lcm of its mass denominators.  Equal entries
-    form one group whose law is a convolution power by repeated squaring;
-    the groups are then convolved in order of first occurrence.  Fractions
-    appear only in the returned law, whose atoms are those of the iterated
-    convolution exactly.
+    an integer over D, the lcm of its mass denominators.  On the one packed
+    integer axis, a group of equal entries e is keyed by x * pack(e), and
+    its law is a convolution power by repeated squaring; the groups are
+    then convolved in order of first occurrence.  Only the sorted final
+    keys are unpacked, and Fractions appear only in the returned law, whose
+    atoms are those of the iterated convolution exactly.
 
     The merged support is capped to keep blow-up loud instead of slow.  It
     is checked while each product grows; every partial law is the law of a
@@ -342,19 +352,20 @@ def weighted_sum_law(F: DiscreteDistribution, a: WeightVector, atom_cap: int = D
     Gc, cs = common_grid(c for e, _ in groups for c in e)
     D, ms = common_grid(m for _, m in scalars)
     G, dim = Gx * Gc, a.dim
-    acc = {(0,) * dim: 1}
-    for i, (_, mult) in enumerate(groups):
-        e = cs[i * dim : (i + 1) * dim]
+    R, packs = _pack_groups(cs, dim, [mult * max(map(abs, xs)) for _, mult in groups])
+    acc = {0: 1}
+    for p, (_, mult) in zip(packs, groups):
         # e != 0, so distinct atoms of F give distinct values x * e
-        law = {tuple(x * c for c in e): m for x, m in zip(xs, ms)}
+        law = {x * p: m for x, m in zip(xs, ms)}
         acc = _convolve(acc, _convolution_power(law, mult, atom_cap), atom_cap)
     total = D ** sum(mult for _, mult in groups)
     if sum(acc.values()) != total:
         raise ValueError("masses must sum to exactly 1")
-    # sorted distinct integer keys stay sorted and distinct over G > 0
-    return DiscreteDistribution._from_canonical(
-        dim, tuple((tuple(Fraction(k, G) for k in key), Fraction(m, total)) for key, m in sorted(acc.items()))
-    )
+    # unpack in base R (shifted digits 0..R-1); sorted keys are sorted vectors, over G > 0 too
+    B, powers = R // 2, [R**i for i in reversed(range(dim))]
+    shift = B * sum(powers)
+    vecs = ((tuple(Fraction((k + shift) // q % R - B, G) for q in powers), m) for k, m in sorted(acc.items()))
+    return DiscreteDistribution._from_canonical(dim, tuple((v, Fraction(m, total)) for v, m in vecs))
 
 
 def levy_measure_star(a: WeightVector) -> AtomicMeasure:
@@ -411,7 +422,8 @@ def h_point_mass_zero(a: WeightVector, lam: float) -> float:
     Entries of equal magnitude pool their rates; each pooled difference
     count is truncated once its two-sided pmf captures all but its share of
     _H_MASS_TOL, so the returned value underestimates by at most that in
-    total.  The pmfs are folded by `_convolve` on the entries' integer grid;
+    total.  The pmfs are built first, as their lengths fix the radix of the
+    one packed integer axis, then folded by `_convolve` in the same order;
     AtomCapExceeded when the support outgrows DEFAULT_ATOM_CAP.
     """
     if not 0 <= lam < math.inf:
@@ -430,19 +442,17 @@ def h_point_mass_zero(a: WeightVector, lam: float) -> float:
     per_group_tol = _H_MASS_TOL / len(groups)
     pooled = sorted(groups.items())
     _, cs = common_grid(c for e, _ in pooled for c in e)
-    zero = (0,) * a.dim
-    acc: dict[IntVec, float] = {zero: 1.0}
-    for i, (_, mult) in enumerate(pooled):
-        e = cs[i * a.dim : (i + 1) * a.dim]
+    pmfs = []  # P(D = j) for j = 0, 1, ..., the same as P(D = -j)
+    for _, mult in pooled:
         mu = mult * lam / 4.0
-        covered = float(skellam.pmf(0, mu, mu))
-        pmf = {zero: covered}
-        j = 1
+        pmf = [float(skellam.pmf(0, mu, mu))]
+        covered = pmf[0]
         while covered < 1.0 - per_group_tol:
-            pj = float(skellam.pmf(j, mu, mu))
-            pmf[tuple(j * c for c in e)] = pj
-            pmf[tuple(-j * c for c in e)] = pj
-            covered += 2.0 * pj
-            j += 1
-        acc = _convolve(acc, pmf, DEFAULT_ATOM_CAP)
-    return acc.get(zero, 0.0)
+            pmf.append(float(skellam.pmf(len(pmf), mu, mu)))
+            covered += 2.0 * pmf[-1]
+        pmfs.append(pmf)
+    _, packs = _pack_groups(cs, a.dim, [len(pmf) - 1 for pmf in pmfs])
+    acc = {0: 1.0}
+    for p, pmf in zip(packs, pmfs):  # keys 0, p, -p, 2p, -2p, ...
+        acc = _convolve(acc, {s * j * p: pj for j, pj in enumerate(pmf) for s in (1, -1)}, DEFAULT_ATOM_CAP)
+    return acc.get(0, 0.0)

@@ -124,15 +124,21 @@ def _pad_signal_outliers(
     if min(n_pad, n_sig, n_out) < 0:
         raise ValueError(f"counts must be nonnegative, got n_pad={n_pad}, n_sig={n_sig}, n_out={n_out}")
     eps = tuple(2 * g / n_pad if n_pad else Fraction(0) for g in gs)
-    rows = [eps] * n_pad
-    rows += [tuple(g * rng.choice((-1, 1)) for g in gs) for _ in range(n_sig)]
-    rows += [tuple(Hs)] * n_out
+    signal = [(tuple(g * rng.choice((-1, 1)) for g in gs), 1) for _ in range(n_sig)]
+    blocks = [(eps, n_pad), *signal, (tuple(Hs), n_out)]
+    rows = tuple(row for row, k in blocks for _ in range(k))
+    counts: dict[tuple, int] = {}  # the counts WeightVector would derive, block by block
+    for row, k in blocks:
+        if k:
+            counts[row] = counts.get(row, 0) + k
+    if not any(map(any, counts)):  # n = 0 or every row zero
+        WeightVector(d, rows)  # raises the public constructor's ValueError
     planted = {
         "gap": _product_gap([gap_1d([1], [g]) for g in gs], d),
         "outliers": tuple(range(n_pad + n_sig, len(rows))),
         "delta0": max(eps),
     }
-    return WeightVector(d, tuple(rows)), planted
+    return WeightVector._from_canonical(d, rows, tuple(counts.items())), planted
 
 
 def gen_planted(kind: str, params: Optional[dict] = None, seed: int = 0) -> Instance:

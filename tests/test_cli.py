@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -422,3 +426,49 @@ class TestBadInput:
         params = write_json(tmp_path, "params.json", {"tau": "0", "kappa": "1", "delta": "2"})
         with pytest.raises(ValueError, match="delta <= kappa"):
             main(["recover", inst, params, "--mode", "logrank"])
+
+
+def run_cli(argv):
+    """The console entry point in a fresh interpreter: (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lostructure.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestPackageErrorExit:
+    """run() ends a package error with one stderr line and exit code 3."""
+
+    def assert_exit_3(self, argv, error, fragment):
+        rc, err = run_cli(argv)
+        assert rc == 3
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"lostructure: {error}: ") and fragment in err
+
+    def test_image_over_the_enumeration_cap(self, tmp_path):
+        gap = write_json(
+            tmp_path, "box.json", {"dim": 1, "rank": 2, "dims": ["10000", "10000"], "generators": [["1"], ["20001"]]}
+        )
+        self.assert_exit_3(["gap", "image", gap], "EnumerationCapExceeded", "exceeds cap")
+
+    def test_sandwich_at_rank_4(self, tmp_path):
+        unit = [[int(i == j) for j in range(4)] for i in range(4)]
+        body = write_json(tmp_path, "body.json", {"rank": 4, "constraints": [{"u": u, "b": "1"} for u in unit]})
+        self.assert_exit_3(["gap", "sandwich", body], "UnsupportedRank", "rank <= 3")
+
+    def test_beta_at_rank_3(self, tmp_path):
+        measure = write_json(tmp_path, "measure.json", levy_measure_star(weights_1d([1, 2])).to_json_dict())
+        self.assert_exit_3(["beta", measure, "--r", "3"], "UnsupportedRank", "got 3")
+
+    def test_recover_with_an_inadmissible_window(self, tmp_path):
+        inst, params = TestRecoverVerb().instance_paths(tmp_path)
+        p = json.loads(Path(params).read_text())
+        small = write_json(tmp_path, "small.json", {**p, "n_prime": 1})
+        self.assert_exit_3(["recover", inst, small], "InvalidWindow", "n'=1")
+
+    def test_other_errors_keep_their_traceback(self, tmp_path):
+        gap = write_json(tmp_path, "gap.json", {"dim": 1, "rank": 1, "dims": ["2"], "generators": [["1"]]})
+        rc, err = run_cli(["gap", "dilate", gap, "--t=-1"])
+        assert rc == 1
+        assert "Traceback" in err and err.rstrip().endswith("ValueError: dilation factor must be positive")

@@ -253,6 +253,31 @@ class TestWeightedSumLawOracle:
         assert law_or_cap(weighted_sum_law, F, a, cap) == law_or_cap(iterated_convolution_law, F, a, cap)
 
 
+# An asymmetric law with mixed denominators that holds both +-3/2, so the
+# sum of same-sign entries reaches +-B, the packing bound, on every coordinate.
+EXTREMES = from_scalar_atoms(
+    [(Fraction(-3, 2), Fraction(1, 6)), (Fraction(1, 3), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 3))]
+)
+
+
+class TestPackedKeysAtTheRadixBound:
+    @pytest.mark.parametrize(
+        "a, corner",
+        [
+            (WeightVector(3, ((1, 2, 3), (3, 2, 1), (1, 2, 3), (2, 2, 2), (3, 2, 1))), 15),
+            (WeightVector(2, ((-1, -2), (Fraction(-3, 2), Fraction(-3, 2)), (-2, -1))), Fraction(27, 4)),
+        ],
+    )
+    def test_matches_oracle_and_public_constructor(self, a, corner):
+        got = weighted_sum_law(EXTREMES, a)
+        assert got.atoms[0][0] == (-corner,) * a.dim
+        assert got.atoms[-1][0] == (corner,) * a.dim
+        assert got == iterated_convolution_law(EXTREMES, a)
+        public = DiscreteDistribution(a.dim, got.atoms)
+        assert got == public and repr(got) == repr(public)
+        assert json.dumps(got.to_json_dict()) == json.dumps(public.to_json_dict())
+
+
 class TestJumpMeasures:
     def test_star_pools_signs(self):
         M = levy_measure_star(weights_1d([1, 1, 1]))

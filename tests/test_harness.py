@@ -13,6 +13,7 @@ from lostructure.config import RunConfig, calibrated_config
 from lostructure.concentration import conc_interval
 from lostructure.distributions import (
     CompoundPoissonSpec,
+    WeightVector,
     rademacher,
     symmetrize,
     tail_mass,
@@ -131,6 +132,42 @@ PAD_SIGNAL_OUTLIER_ERRORS = [
 
 @pytest.mark.parametrize("kind, params, fragment", PAD_SIGNAL_OUTLIER_ERRORS)
 def test_malformed_pad_signal_outlier_params(kind, params, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        gen_planted(kind, params)
+
+
+PAD_SIGNAL_OUTLIER_EDGES = [
+    ("outliers", {"n_pad": 2}),  # the pad row equals +g
+    ("outliers", {"H": 1}),  # at seed 0 the H row equals +g
+    ("outliers", {"n_pad": 0, "n_out": 0}),
+    ("outliers", {"n_sig": 0}),
+    ("product_d", {"d": 3, "gs": [0, 2, Fraction(1, 3)], "n_pad": 2, "n_sig": 7}),
+    ("product_d", {"d": 1, "n_pad": 1, "n_sig": 0, "n_out": 3}),
+]
+
+
+@pytest.mark.parametrize("kind, params", PAD_SIGNAL_OUTLIER_EDGES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pad_signal_outlier_weights_match_the_public_constructor(kind, params, seed):
+    """_pad_signal_outliers' trusted WeightVector equals the validated one in ==,
+    repr, JSON and counts."""
+    weight = gen_planted(kind, params, seed).weight
+    public = WeightVector(weight.dim, weight.entries)
+    assert weight == public and repr(weight) == repr(public)
+    assert json.dumps(weight.to_json_dict()) == json.dumps(public.to_json_dict())
+    assert weight.counts == public.counts
+
+
+@pytest.mark.parametrize(
+    "kind, params, fragment",
+    [
+        ("outliers", {"n_pad": 0, "n_sig": 0, "n_out": 0}, "need n >= 1 entries"),
+        ("product_d", {"d": 1, "gs": [0], "n_pad": 0, "n_sig": 0, "n_out": 0}, "need n >= 1 entries"),
+        ("product_d", {"gs": [0, 0]}, "must not be identically zero"),
+        ("outliers", {"g": 0}, "must not be identically zero"),
+    ],
+)
+def test_pad_signal_outlier_weights_raise_the_public_errors(kind, params, fragment):
     with pytest.raises(ValueError, match=fragment):
         gen_planted(kind, params)
 
